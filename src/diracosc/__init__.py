@@ -20,8 +20,6 @@ from .model import (
     TanhPowerProfile,
     TanhProfile,
     TanhSechProfile,
-    evaluate_derivative,
-    evaluate_profile,
 )
 from .susy import (
     ReducedProblem,

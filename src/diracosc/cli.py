@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__, analytic, kernels, numerics, susy, zeromodes
+from . import __version__, analytic, numerics, susy, zeromodes
 from .errors import (
     ConfigError,
     ConstraintError,
@@ -99,7 +99,6 @@ class RunConfig:
     tolerances: dict
     output_dir: str
     sweep: dict
-    deterministic: bool = True
 
 
 def _require(cond, msg):
@@ -503,8 +502,7 @@ def _plain(obj):
 def build_report(config, results, checks):
     return {
         "schema": 1,
-        "tool": {"name": "diracosc", "version": __version__,
-                 "kernel_backend": kernels.BACKEND},
+        "tool": {"name": "diracosc", "version": __version__},
         "workflow": config.workflow,
         "config": {
             "model": _plain(config.model),
@@ -513,7 +511,6 @@ def build_report(config, results, checks):
                      "spacing": config.grid.spacing},
             "wilson_r": config.wilson_r,
             "tolerances": _plain(config.tolerances),
-            "deterministic": config.deterministic,
         },
         "results": _plain(results),
         "checks": _plain(checks),

@@ -1,38 +1,15 @@
 """Hot numeric kernels: Hamiltonian assembly, matrix-free application, quadrature.
 
-Each kernel exists twice: a numba-compiled loop version and a vectorized
-pure-numpy version. The numba path is used when numba imports cleanly and the
-environment variable ``DIRACOSC_NO_NUMBA`` is unset; setting it to 1/true/yes
-forces the numpy path. Both variants stay importable (``*_numba`` may be None)
-so tests and ``benchmarks/bench_kernels.py`` can compare them directly.
-
-The selection only affects speed. Results agree to machine rounding; reports
-produced with a fixed backend are byte-reproducible.
+Vectorized numpy implementations on the interleaved two-component layout
+used by ``numerics``. The matrix-free application reproduces the assembled
+operator exactly, boundary stencils included, so residuals measured without
+a matrix agree with it.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("DIRACOSC_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in {"1", "true", "yes", "on"}
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via DIRACOSC_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def assemble_dirac_numpy(f, m, v, h, r):
+def assemble_dirac(f, m, v, h, r):
     """Dense Hermitian matrix of the first-order operator on interleaved nodes.
 
     Layout: index 2j is the upper component at node j, 2j+1 the lower one.
@@ -71,7 +48,7 @@ def assemble_dirac_numpy(f, m, v, h, r):
     return H
 
 
-def assemble_schrodinger_numpy(pot, h):
+def assemble_schrodinger(pot, h):
     """Dense symmetric matrix of -d2/dx2 + pot with truncated end stencils."""
     n = pot.shape[0]
     H = np.zeros((n, n))
@@ -82,10 +59,10 @@ def assemble_schrodinger_numpy(pot, h):
     return H
 
 
-def dirac_apply_numpy(f, m, v, h, r, psi1, psi2, energy):
+def dirac_apply(f, m, v, h, r, psi1, psi2, energy):
     """Matrix-free (H - E) psi for the interleaved operator above.
 
-    Matches assemble_dirac_* exactly, including the truncated boundary
+    Matches assemble_dirac exactly, including the truncated boundary
     stencils, so residuals measured here agree with the assembled matrix.
     """
     c = 1.0 / (2.0 * h)
@@ -112,7 +89,7 @@ def dirac_apply_numpy(f, m, v, h, r, psi1, psi2, energy):
     return out1, out2
 
 
-def _interval_integral_numpy(w, h):
+def _interval_integral(w, h):
     """Integral of w over each interval [x_j, x_{j+1}], fourth order.
 
     Interior intervals average the two bracketing quadratic fits, which
@@ -129,126 +106,16 @@ def _interval_integral_numpy(w, h):
     return inc
 
 
-def cumulative_simpson_center_numpy(w, h, center):
+def cumulative_simpson_center(w, h, center):
     """Cumulative integral of sampled w from the center node outward.
 
     I[j] approximates the integral from x[center] to x[j]; fourth-order
-    accurate (see _interval_integral_numpy). Needs at least 2 nodes on each
+    accurate (see _interval_integral). Needs at least 2 nodes on each
     side of the center.
     """
     n = w.shape[0]
-    inc = _interval_integral_numpy(w, h)
+    inc = _interval_integral(w, h)
     out = np.zeros(n)
     out[center + 1:] = np.cumsum(inc[center:])
     out[center - 1::-1] = -np.cumsum(inc[center - 1::-1])
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily on first call)
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def assemble_dirac_numba(f, m, v, h, r):
-        n = f.shape[0]
-        H = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        c = 1.0 / (2.0 * h)
-        w = r / h
-        for j in range(n):
-            u = 2 * j
-            lo = u + 1
-            H[u, lo] += 1j * f[j]
-            H[lo, u] += -1j * f[j]
-            H[u, u] += m[j] + v[j]
-            H[lo, lo] += -m[j] + v[j]
-            if j + 1 < n:
-                H[u, lo + 2] += -1j * c
-                H[u + 2, lo] += 1j * c
-                H[lo, u + 2] += -1j * c
-                H[lo + 2, u] += 1j * c
-            if r != 0.0:
-                H[u, u] += w
-                H[lo, lo] += -w
-                if j + 1 < n:
-                    H[u, u + 2] += -w / 2.0
-                    H[u + 2, u] += -w / 2.0
-                    H[lo, lo + 2] += w / 2.0
-                    H[lo + 2, lo] += w / 2.0
-        return H
-
-    @njit(cache=True)
-    def assemble_schrodinger_numba(pot, h):
-        n = pot.shape[0]
-        H = np.zeros((n, n))
-        for j in range(n):
-            H[j, j] = 2.0 / h**2 + pot[j]
-            if j + 1 < n:
-                H[j, j + 1] = -1.0 / h**2
-                H[j + 1, j] = -1.0 / h**2
-        return H
-
-    @njit(cache=True)
-    def dirac_apply_numba(f, m, v, h, r, psi1, psi2, energy):
-        n = psi1.shape[0]
-        out1 = np.zeros(n, dtype=np.complex128)
-        out2 = np.zeros(n, dtype=np.complex128)
-        c = 1.0 / (2.0 * h)
-        w = r / h
-        for j in range(n):
-            left1 = psi1[j - 1] if j > 0 else 0.0 + 0.0j
-            right1 = psi1[j + 1] if j + 1 < n else 0.0 + 0.0j
-            left2 = psi2[j - 1] if j > 0 else 0.0 + 0.0j
-            right2 = psi2[j + 1] if j + 1 < n else 0.0 + 0.0j
-            d1 = (right1 - left1) * c
-            d2 = (right2 - left2) * c
-            o1 = -1j * d2 + 1j * f[j] * psi2[j] + (m[j] + v[j] - energy) * psi1[j]
-            o2 = -1j * d1 - 1j * f[j] * psi1[j] + (-m[j] + v[j] - energy) * psi2[j]
-            if r != 0.0:
-                o1 += w * psi1[j] - (w / 2.0) * (left1 + right1)
-                o2 += -w * psi2[j] + (w / 2.0) * (left2 + right2)
-            out1[j] = o1
-            out2[j] = o2
-        return out1, out2
-
-    @njit(cache=True)
-    def cumulative_simpson_center_numba(w, h, center):
-        n = w.shape[0]
-        inc = np.empty(n - 1)
-        inc[0] = h / 12.0 * (5.0 * w[0] + 8.0 * w[1] - w[2])
-        inc[n - 2] = h / 12.0 * (-w[n - 3] + 8.0 * w[n - 2] + 5.0 * w[n - 1])
-        for j in range(1, n - 2):
-            inc[j] = h / 24.0 * (-w[j - 1] + 13.0 * w[j] + 13.0 * w[j + 1] - w[j + 2])
-        out = np.zeros(n)
-        acc = 0.0
-        for j in range(center, n - 1):
-            acc += inc[j]
-            out[j + 1] = acc
-        acc = 0.0
-        for j in range(center - 1, -1, -1):
-            acc -= inc[j]
-            out[j] = acc
-        return out
-
-else:
-    assemble_dirac_numba = None
-    assemble_schrodinger_numba = None
-    dirac_apply_numba = None
-    cumulative_simpson_center_numba = None
-
-
-if HAVE_NUMBA:
-    # dense first-order assembly is measurably faster vectorized (strided
-    # diagonal writes beat scattered per-row stores; see benchmarks/), so it
-    # stays on numpy in both lanes
-    assemble_dirac = assemble_dirac_numpy
-    assemble_schrodinger = assemble_schrodinger_numba
-    dirac_apply = dirac_apply_numba
-    cumulative_simpson_center = cumulative_simpson_center_numba
-    BACKEND = "numba"
-else:
-    assemble_dirac = assemble_dirac_numpy
-    assemble_schrodinger = assemble_schrodinger_numpy
-    dirac_apply = dirac_apply_numpy
-    cumulative_simpson_center = cumulative_simpson_center_numpy
-    BACKEND = "numpy"

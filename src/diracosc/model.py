@@ -27,10 +27,6 @@ class Profile:
     def derivative(self, x):
         raise NotImplementedError
 
-    def asymptotic(self):
-        """(W(-inf), W(+inf)) where meaningful; None for unbounded shapes."""
-        return None
-
 
 @dataclass(frozen=True)
 class LinearProfile(Profile):
@@ -59,9 +55,6 @@ class TanhProfile(Profile):
     def derivative(self, x):
         return self.amplitude / np.cosh(np.asarray(x, dtype=float)) ** 2
 
-    def asymptotic(self):
-        return (-self.amplitude + self.shift, self.amplitude + self.shift)
-
 
 @dataclass(frozen=True)
 class TanhPowerProfile(Profile):
@@ -82,9 +75,6 @@ class TanhPowerProfile(Profile):
         t = np.tanh(x)
         return self.exponent * t ** (self.exponent - 1) / np.cosh(x) ** 2
 
-    def asymptotic(self):
-        return (-1.0 + self.shift, 1.0 + self.shift)
-
 
 @dataclass(frozen=True)
 class TanhSechProfile(Profile):
@@ -101,9 +91,6 @@ class TanhSechProfile(Profile):
         x = np.asarray(x, dtype=float)
         sech = 1.0 / np.cosh(x)
         return self.a * sech**2 - self.b * sech * np.tanh(x)
-
-    def asymptotic(self):
-        return (-self.a, self.a)
 
 
 @dataclass(frozen=True)
@@ -127,9 +114,6 @@ class StepProfile(Profile):
         if np.any(x == 0):
             raise ProfileSingularityError("step profile is not differentiable at x = 0")
         return np.zeros_like(x)
-
-    def asymptotic(self):
-        return (-self.value_minus, self.value_plus)
 
 
 @dataclass(frozen=True)
@@ -199,16 +183,6 @@ class CustomProfile(Profile):
             return np.asarray(self.deriv(x))
         h = self.fd_step
         return (self.func(x + h) - self.func(x - h)) / (2.0 * h)
-
-
-def evaluate_profile(profile, x):
-    """W(x) for the tagged profile shape."""
-    return profile.value(x)
-
-
-def evaluate_derivative(profile, x):
-    """W'(x); exact when the shape provides it, finite-difference otherwise."""
-    return profile.derivative(x)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,23 @@ import scipy.linalg
 
 from . import kernels
 from .errors import ZeroOutputError
-from .model import Grid, GeneralProfiles, ScalarField, SpinorField
+from .model import Grid, ScalarField, SpinorField
+
+# classify_bound: a bound state keeps at most OUTER_TOL of its probability in
+# the outer OUTER_FRAC of the grid on each side; eigenvalues closer than
+# DEGENERACY_TOL form one cluster
+OUTER_FRAC = 0.1
+OUTER_TOL = 0.01
+DEGENERACY_TOL = 1e-6
+# dirac_residual ignores the outer EXCLUDE_FRAC of nodes on each side
+EXCLUDE_FRAC = 0.05
+# reconstruct_spinor: output/input norm ratio below which the intertwiner
+# counts as having annihilated its input
+ZERO_OUTPUT_TOL = 1e-2
+# selfconsistent_level: energy step that ends the fixed-point loop, and its
+# iteration budget
+FIXED_POINT_TOL = 1e-10
+FIXED_POINT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -24,22 +40,12 @@ class DiracMatrix:
     grid: Grid
     storage: np.ndarray          # dense Hermitian, dimension 2*n_points
     wilson_r: float
-    profiles: GeneralProfiles
-
-    @property
-    def dimension(self):
-        return 2 * self.grid.n_points
 
 
 @dataclass(frozen=True)
 class SchrodingerMatrix:
     grid: Grid
     storage: np.ndarray          # dense symmetric, dimension n_points
-    potential: ScalarField
-
-    @property
-    def dimension(self):
-        return self.grid.n_points
 
 
 @dataclass(frozen=True)
@@ -92,18 +98,16 @@ def build_dirac(profiles, grid, wilson_r=1.0):
     m = _sample(profiles.m, x)
     v = _sample(profiles.v, x)
     H = kernels.assemble_dirac(f, m, v, grid.spacing, float(wilson_r))
-    return DiracMatrix(grid=grid, storage=H, wilson_r=float(wilson_r), profiles=profiles)
+    return DiracMatrix(grid=grid, storage=H, wilson_r=float(wilson_r))
 
 
-def build_schrodinger(potential, grid=None):
+def build_schrodinger(potential):
     """Assemble -d2/dx2 + V from a sampled potential."""
-    if grid is not None and grid.n_points != potential.grid.n_points:
-        raise ValueError("grid does not match the sampled potential")
     grid = potential.grid
     H = kernels.assemble_schrodinger(
         np.asarray(potential.samples, dtype=float), grid.spacing
     )
-    return SchrodingerMatrix(grid=grid, storage=H, potential=potential)
+    return SchrodingerMatrix(grid=grid, storage=H)
 
 
 def _fix_phase(vectors):
@@ -154,16 +158,16 @@ def eigensolve(matrix, k=None, window=None):
     )
 
 
-def _outer_masses(density, outer_frac):
+def _outer_masses(density):
     n = len(density)
-    kk = max(1, int(round(outer_frac * n)))
+    kk = max(1, int(round(OUTER_FRAC * n)))
     tot = density.sum()
     if tot == 0:
         return 1.0, 1.0
     return density[:kk].sum() / tot, density[-kk:].sum() / tot
 
 
-def _resolve_cluster(result, idx, outer_frac):
+def _resolve_cluster(result, idx):
     """Re-mix a near-degenerate cluster to separate localized from edge states.
 
     Eigenvectors inside a (numerically) degenerate cluster are an arbitrary
@@ -171,13 +175,13 @@ def _resolve_cluster(result, idx, outer_frac):
     with a wall artifact at the same energy. Diagonalizing the outer-mass
     quadratic form inside the cluster subspace yields localization-sorted
     representatives deterministically. Values become Rayleigh quotients and
-    residuals are widened by the cluster spread, both within degeneracy_tol.
+    residuals are widened by the cluster spread, both within DEGENERACY_TOL.
     """
     if len(idx) == 1:
         return
     vecs = result.vectors[:, idx]
     n = result.grid.n_points
-    kk = max(1, int(round(outer_frac * n)))
+    kk = max(1, int(round(OUTER_FRAC * n)))
     outer = np.zeros(vecs.shape[0], dtype=bool)
     if result.kind == "dirac":
         node_outer = np.zeros(n, dtype=bool)
@@ -200,13 +204,12 @@ def _resolve_cluster(result, idx, outer_frac):
     result.residuals[idx] = (result.residuals[idx].max() + spread)[order]
 
 
-def classify_bound(result, continuum_edge, outer_frac=0.1, outer_tol=0.01,
-                   degeneracy_tol=1e-6):
+def classify_bound(result, continuum_edge):
     """Flag eigenpairs that are genuine bound states.
 
     A pair is bound when its eigenvalue lies strictly below the supplied
     continuum edge (|E| for dirac, algebraic for schrodinger) and at most
-    outer_tol of its probability mass sits in the outer outer_frac of the
+    OUTER_TOL of its probability mass sits in the outer OUTER_FRAC of the
     grid on each side. Near-degenerate clusters are re-mixed first (see
     _resolve_cluster) so hybridization with boundary artifacts cannot hide a
     localized state.
@@ -230,14 +233,14 @@ def classify_bound(result, continuum_edge, outer_frac=0.1, outer_tol=0.01,
     start = 0
     clusters = []
     for i in range(1, len(cand) + 1):
-        if i == len(cand) or abs(out.values[cand[i]] - out.values[cand[i - 1]]) > degeneracy_tol:
+        if i == len(cand) or abs(out.values[cand[i]] - out.values[cand[i - 1]]) > DEGENERACY_TOL:
             clusters.append(cand[start:i])
             start = i
     for cl in clusters:
-        _resolve_cluster(out, cl, outer_frac)
+        _resolve_cluster(out, cl)
     for i in cand:
-        left, right = _outer_masses(out.node_density(i), outer_frac)
-        if left <= outer_tol and right <= outer_tol:
+        left, right = _outer_masses(out.node_density(i))
+        if left <= OUTER_TOL and right <= OUTER_TOL:
             out.bound_flags[i] = True
     return out
 
@@ -264,10 +267,10 @@ def schrodinger_continuum_edge(reduced, grid):
     return float(np.min(np.real(reduced.w_tilde(ends)) ** 2))
 
 
-def dirac_residual(profiles, psi, energy, exclude_frac=0.05, jump_mask=True):
+def dirac_residual(profiles, psi, energy, jump_mask=True):
     """|| (H - E) psi || / || psi || with H matrix-free at r = 0.
 
-    The outer exclude_frac of nodes on each side is ignored (boundary
+    The outer EXCLUDE_FRAC of nodes on each side is ignored (boundary
     stencils), as are nodes straddling a profile discontinuity when
     jump_mask is set: the continuum equation holds one-sidedly at a jump and
     a central difference across it measures nothing.
@@ -281,7 +284,7 @@ def dirac_residual(profiles, psi, energy, exclude_frac=0.05, jump_mask=True):
                                  float(energy))
     n = grid.n_points
     mask = np.ones(n, dtype=bool)
-    k = int(exclude_frac * n)
+    k = int(EXCLUDE_FRAC * n)
     if k > 0:
         mask[:k] = mask[-k:] = False
     if jump_mask:
@@ -301,13 +304,13 @@ def dirac_residual(profiles, psi, energy, exclude_frac=0.05, jump_mask=True):
     return num / den
 
 
-def reconstruct_spinor(phi, chi, model, sigma, energy, zero_tol=1e-2):
+def reconstruct_spinor(phi, chi, model, energy):
     """Physical spinor from a reduced-problem solution phi.
 
     Applies the first-order intertwining operator to chi*phi(x) nodewise
     (central differences) and normalizes. At E = 0 the operator annihilates
     the supersymmetric ground state; that is detected by comparing output to
-    input norm against zero_tol and reported as ZeroOutputError so the
+    input norm against ZERO_OUTPUT_TOL and reported as ZeroOutputError so the
     caller can switch to the direct first-order construction.
     """
     grid = phi.grid
@@ -324,7 +327,7 @@ def reconstruct_spinor(phi, chi, model, sigma, energy, zero_tol=1e-2):
     in_norm = math.sqrt(float(np.sum(np.abs(p1) ** 2 + np.abs(p2) ** 2)) * h)
     if in_norm == 0:
         raise ValueError("phi is identically zero")
-    if out_norm < zero_tol * in_norm:
+    if out_norm < ZERO_OUTPUT_TOL * in_norm:
         raise ZeroOutputError(
             "the intertwining operator annihilated chi*phi (zero-energy ground "
             "state); build the state from the first-order equation instead"
@@ -332,8 +335,7 @@ def reconstruct_spinor(phi, chi, model, sigma, energy, zero_tol=1e-2):
     return SpinorField(grid, o1 / out_norm, o2 / out_norm)
 
 
-def selfconsistent_level(model, sigma, level, grid, seed_energy, tol=1e-10,
-                         max_iter=100):
+def selfconsistent_level(model, sigma, level, grid, seed_energy):
     """Fixed-point solve of one level when the potential carries the energy.
 
     With an electric coupling the reduced potential depends on E, so the
@@ -346,7 +348,7 @@ def selfconsistent_level(model, sigma, level, grid, seed_energy, tol=1e-10,
 
     E = float(seed_energy)
     sgn = 1.0 if E >= 0 else -1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
         red = susy_reduce(model, sigma, energy=E)
         pot = ScalarField(grid, red.effective_potential(grid.nodes))
         res = eigensolve(build_schrodinger(pot), k=level + 1)
@@ -354,7 +356,9 @@ def selfconsistent_level(model, sigma, level, grid, seed_energy, tol=1e-10,
         if eps < 0:
             raise RuntimeError(f"level {level} has negative eps={eps:g}")
         E_new = sgn * math.sqrt(eps / red.epsilon_coefficient)
-        if abs(E_new - E) < tol:
+        if abs(E_new - E) < FIXED_POINT_TOL:
             return E_new, eps, it
         E = E_new
-    raise RuntimeError(f"fixed-point iteration did not converge in {max_iter} steps")
+    raise RuntimeError(
+        f"fixed-point iteration did not converge in {FIXED_POINT_MAX_ITER} steps"
+    )

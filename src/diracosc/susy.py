@@ -24,7 +24,6 @@ class SpinEigenpair:
     sigma: int
     lam: complex          # sigma * sqrt(kf^2 + km^2 - kv^2); complex when supercritical
     chi: np.ndarray       # unit-norm 2-spinor
-    normalized: bool
     subcritical: bool
 
 
@@ -86,7 +85,11 @@ def _eigvec(kf, km, kv, lam, zero_energy_variant):
     The two row formulas are algebraically the same vector but lose
     precision in different corners (cancellation in lam -+ kf, vanishing
     denominators), so both are built when possible and the one with the
-    smaller explicit residual wins. km = kv = 0 leaves a diagonal matrix.
+    smaller explicit residual wins. A candidate whose norm overflows (its
+    denominator is negligible next to lam -+ kf) would normalize to the zero
+    vector with a zero residual, so it is dropped. When no candidate is left
+    the off-diagonal elements are negligible (km = kv = 0 makes the matrix
+    diagonal) and the basis spinors are the eigenvectors.
     """
     s = +1.0 if zero_energy_variant else -1.0
     d1 = km - s * kv   # first-row denominator
@@ -97,15 +100,16 @@ def _eigvec(kf, km, kv, lam, zero_energy_variant):
         candidates.append(np.array([1.0, 1j * (lam - kf) / d1], dtype=complex))
     if abs(d2) > 1e-300:
         candidates.append(np.array([-1j * (kf + lam) / d2, 1.0], dtype=complex))
+    with np.errstate(over="ignore"):
+        norms = [np.linalg.norm(chi) for chi in candidates]
+    candidates = [chi / n for chi, n in zip(candidates, norms) if math.isfinite(n)]
     if not candidates:
-        # diagonal coupling matrix: basis spinors
         if abs(lam - kf) <= 1e-14 * scale:
             return np.array([1.0, 0.0], dtype=complex)
         return np.array([0.0, 1.0], dtype=complex)
     matrix = coupling_matrix(kf, km, kv, zero_energy_variant)
     best, best_res = None, math.inf
     for chi in candidates:
-        chi = chi / np.linalg.norm(chi)
         res = float(np.linalg.norm(matrix @ chi - lam * chi))
         if res < best_res:
             best, best_res = chi, res
@@ -129,7 +133,7 @@ def spin_eigensystem(kf, km, kv, zero_energy_variant=False):
         lam = sigma * root
         chi = _eigvec(kf, km, kv, lam, zero_energy_variant)
         pairs.append(
-            SpinEigenpair(sigma=sigma, lam=lam, chi=chi, normalized=True, subcritical=sub)
+            SpinEigenpair(sigma=sigma, lam=lam, chi=chi, subcritical=sub)
         )
     return tuple(pairs)
 

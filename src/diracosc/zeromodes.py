@@ -45,6 +45,10 @@ from .model import (
     StepProfile,
 )
 
+# relative mismatch of the two component ratios up to which match_interface
+# accepts the interface condition
+MATCH_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ZeroModeResult:
@@ -53,10 +57,6 @@ class ZeroModeResult:
     normalizable: bool
     decay_rates: tuple         # asymptotic exponents toward -inf and +inf
     metadata: dict
-
-    @property
-    def dirac_residual(self):
-        return self.metadata.get("dirac_residual")
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,13 @@ def _signed_step(plus, minus, flip):
     return sign * plus, sign * (-minus)
 
 
-def match_interface(problem, flip_f=False, flip_m=False, residual_tol=1e-12):
+def match_interface(problem, flip_f=False, flip_m=False):
     """Scalar continuity condition for two-sided constant profiles.
 
     The exterior solutions decay like exp(-lambda_plus x) and
     exp(+lambda_minus x); continuity of both spinor components at x = 0
     collapses to one condition on the component ratios. Returns None when
-    the residual exceeds residual_tol, else (constant, ratio, lambda_plus,
+    the residual exceeds MATCH_TOL, else (constant, ratio, lambda_plus,
     lambda_minus) where `constant` normalizes the mode exactly on the line
     and psi1/psi2 = i*ratio. flip_f / flip_m negate the respective profile
     globally, covering the four sign arrangements with one code path.
@@ -166,7 +166,7 @@ def match_interface(problem, flip_f=False, flip_m=False, residual_tol=1e-12):
         )
     ratio_r = (lam_p + f_r) / den_r       # psi1/psi2 = i*ratio on the right
     ratio_l = (lam_m - f_l) / den_l       # and on the left
-    if abs(ratio_r - ratio_l) > residual_tol * max(abs(ratio_r), abs(ratio_l), 1.0):
+    if abs(ratio_r - ratio_l) > MATCH_TOL * max(abs(ratio_r), abs(ratio_l), 1.0):
         return None
 
     amp2 = ratio_r**2 + 1.0

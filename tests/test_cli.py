@@ -243,7 +243,5 @@ def test_report_environment_stamp(tmp_path):
     report = json.loads((tmp_path / "spectrum_report.json").read_text())
     assert report["tool"]["name"] == "diracosc"
     assert report["tool"]["version"]
-    assert report["tool"]["kernel_backend"] in ("numba", "numpy")
     assert report["config"]["grid"]["n_points"] == 401
-    assert report["config"]["deterministic"] is True
     assert "generated_at" in report

@@ -16,26 +16,24 @@ from diracosc.model import (
     TanhPowerProfile,
     TanhProfile,
     TanhSechProfile,
-    evaluate_derivative,
-    evaluate_profile,
 )
 
 
 def test_tanh_at_origin_is_zero():
-    assert evaluate_profile(TanhProfile(amplitude=2.0), 0.0) == 0.0
+    assert TanhProfile(amplitude=2.0).value(0.0) == 0.0
 
 
 def test_step_sign_convention():
     p = StepProfile(3.0, 3.0)
-    assert evaluate_profile(p, -1.0) == -3.0
-    assert evaluate_profile(p, 1.0) == 3.0
-    assert evaluate_profile(p, 0.0) == 3.0  # x >= 0 takes the plus branch
+    assert p.value(-1.0) == -3.0
+    assert p.value(1.0) == 3.0
+    assert p.value(0.0) == 3.0  # x >= 0 takes the plus branch
 
 
 def test_tanh_power_saturates_to_shift_plus_one():
     p = TanhPowerProfile(exponent=3, shift=0.5)
-    assert evaluate_profile(p, 30.0) == pytest.approx(1.5, abs=1e-12)
-    assert evaluate_profile(p, -30.0) == pytest.approx(-0.5, abs=1e-12)
+    assert p.value(30.0) == pytest.approx(1.5, abs=1e-12)
+    assert p.value(-30.0) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_tanh_power_rejects_even_or_negative_exponent():
@@ -46,29 +44,29 @@ def test_tanh_power_rejects_even_or_negative_exponent():
 
 
 def test_tanh_derivative_at_origin():
-    assert evaluate_derivative(TanhProfile(amplitude=1.0), 0.0) == 1.0
+    assert TanhProfile(amplitude=1.0).derivative(0.0) == 1.0
 
 
 def test_linear_derivative_is_slope_everywhere():
     p = LinearProfile(slope=2.5, offset=-1.0)
     x = np.array([-3.0, 0.0, 7.0])
-    assert np.all(evaluate_derivative(p, x) == 2.5)
+    assert np.all(p.derivative(x) == 2.5)
 
 
 def test_tabulated_derivative_matches_cosine():
     x = np.arange(-2.0, 2.0, 1e-3)
     p = TabulatedProfile(x, np.sin(x))
-    assert evaluate_derivative(p, 0.0) == pytest.approx(1.0, abs=1e-6)
-    assert evaluate_derivative(p, 1.0) == pytest.approx(np.cos(1.0), abs=1e-5)
+    assert p.derivative(0.0) == pytest.approx(1.0, abs=1e-6)
+    assert p.derivative(1.0) == pytest.approx(np.cos(1.0), abs=1e-5)
 
 
 def test_tabulated_range_error():
     x = np.linspace(-1, 1, 11)
     p = TabulatedProfile(x, x**2)
     with pytest.raises(ProfileDomainError):
-        evaluate_profile(p, 1.5)
+        p.value(1.5)
     with pytest.raises(ProfileDomainError):
-        evaluate_derivative(p, np.array([0.0, -2.0]))
+        p.derivative(np.array([0.0, -2.0]))
 
 
 def test_tabulated_requires_uniform_increasing_nodes():
@@ -82,32 +80,32 @@ def test_tabulated_requires_uniform_increasing_nodes():
 
 def test_step_derivative_singular_at_interface():
     p = StepProfile(1.0, 2.0)
-    assert np.all(evaluate_derivative(p, np.array([-1.0, 1.0])) == 0.0)
+    assert np.all(p.derivative(np.array([-1.0, 1.0])) == 0.0)
     with pytest.raises(ProfileSingularityError):
-        evaluate_derivative(p, 0.0)
+        p.derivative(0.0)
 
 
 def test_tanh_sech_shape():
     p = TanhSechProfile(a=4.0, b=1.0)
     x = 0.7
     expected = 4 * np.tanh(x) + 1 / np.cosh(x)
-    assert evaluate_profile(p, x) == pytest.approx(expected, rel=1e-15)
+    assert p.value(x) == pytest.approx(expected, rel=1e-15)
     fd = (p.value(x + 1e-6) - p.value(x - 1e-6)) / 2e-6
-    assert evaluate_derivative(p, x) == pytest.approx(fd, abs=1e-9)
+    assert p.derivative(x) == pytest.approx(fd, abs=1e-9)
 
 
 def test_custom_profile_fd_fallback():
     p = CustomProfile(lambda x: np.exp(-(x**2)), fd_step=1e-5)
     assert not p.analytic_derivative
-    assert evaluate_derivative(p, 0.5) == pytest.approx(-1.0 * np.exp(-0.25), abs=1e-8)
+    assert p.derivative(0.5) == pytest.approx(-1.0 * np.exp(-0.25), abs=1e-8)
 
 
 def test_profile_evaluation_is_pure():
     for p in (TanhProfile(1.3, 0.2), TanhPowerProfile(5, -0.1), TanhSechProfile(2, 3),
               LinearProfile(0.7, 0.1), StepProfile(1, 2)):
         x = np.array([-1.7, 0.4, 2.9])
-        a = evaluate_profile(p, x)
-        b = evaluate_profile(p, x)
+        a = p.value(x)
+        b = p.value(x)
         assert np.array_equal(a, b)
 
 

@@ -330,14 +330,14 @@ def test_reconstruct_spinor_excited_state():
     energy = math.sqrt(eps)
     assert energy == pytest.approx(math.sqrt(7.0), abs=1e-3)
     chi = spin_eigensystem(3.0, 4.0, 0.0)[0].chi
-    psi = reconstruct_spinor(phi, chi, model, +1, energy)
+    psi = reconstruct_spinor(phi, chi, model, energy)
     assert psi.normalized
     res = dirac_residual(model.general(), psi, energy)
     assert res < 5e-3
     # the residual is discretization-limited: halving h drops it ~4x
     g2 = Grid(20.0, 4001)
     model2, eps2, phi2 = reduced_scarf_state(g2, 1)
-    psi2 = reconstruct_spinor(phi2, chi, model2, +1, math.sqrt(eps2))
+    psi2 = reconstruct_spinor(phi2, chi, model2, math.sqrt(eps2))
     res2 = dirac_residual(model2.general(), psi2, math.sqrt(eps2))
     assert res2 == pytest.approx(res / 4, rel=0.25)
 
@@ -348,7 +348,7 @@ def test_reconstruct_spinor_zero_energy_ground_state_raises():
     assert abs(eps) < 1e-3
     chi = spin_eigensystem(3.0, 4.0, 0.0)[0].chi
     with pytest.raises(ZeroOutputError):
-        reconstruct_spinor(phi, chi, model, +1, 0.0)
+        reconstruct_spinor(phi, chi, model, 0.0)
 
 
 def test_selfconsistent_level_matches_composed_formula():

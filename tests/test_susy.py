@@ -1,6 +1,7 @@
 """Coupling-matrix diagonalization and the partner-problem reduction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,10 +105,32 @@ def test_eigenpair_invariants_hold_generically(kf, km, kv, variant):
     pairs = spin_eigensystem(kf, km, kv, zero_energy_variant=variant)
     assert pairs[0].lam == pytest.approx(-pairs[1].lam, abs=1e-12)
     assert pairs[0].lam ** 2 == pytest.approx(rad, abs=1e-10)
+    for p in pairs:
+        assert np.linalg.norm(p.chi) == pytest.approx(1.0, abs=1e-14)
     if rad > 0:
         M = coupling_matrix(kf, km, kv, variant)
         for p in pairs:
             assert np.linalg.norm(M @ p.chi - p.lam * p.chi) <= 1e-12
+
+
+@pytest.mark.parametrize("kf,km,kv", [
+    (1.0, 1e-200, 0.0),
+    (1.0, 1e-160, 0.0),
+    (1.0, 0.0, 1e-180),
+    (1.0, 1e-200, 1e-200),   # one row formula vanishes, the other overflows
+])
+@pytest.mark.parametrize("variant", [False, True])
+def test_tiny_off_diagonal_gives_unit_spinor(kf, km, kv, variant):
+    # a row formula with a negligible denominator overflows its norm; it must
+    # not be normalized into the zero vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = spin_eigensystem(kf, km, kv, zero_energy_variant=variant)
+    M = coupling_matrix(kf, km, kv, variant)
+    tol = 1e-12 * max(1.0, abs(kf), abs(km), abs(kv))
+    for p in pairs:
+        assert np.linalg.norm(p.chi) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(M @ p.chi - p.lam * p.chi) <= tol
 
 
 def test_critical_field_values():
