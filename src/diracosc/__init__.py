@@ -1,7 +1,7 @@
 """Solvers for the 1+1D generalized Dirac oscillator with position-dependent mass.
 
 Closed-form spectra and zero-mode constructions for the proportional-profile
-model, cross-validated by dense finite-difference eigensolvers for both the
+model, cross-validated by banded finite-difference eigensolvers for both the
 first-order system and its partner second-order reductions.
 """
 

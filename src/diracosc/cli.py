@@ -520,7 +520,6 @@ def build_report(config, results, checks):
 
 
 def write_wavefunction_csv(path, psi):
-    h = psi.grid.spacing
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x", "re_psi1", "im_psi1", "re_psi2", "im_psi2",
@@ -533,7 +532,6 @@ def write_wavefunction_csv(path, psi):
                 f"{psi.lower[j].real:.17g}", f"{psi.lower[j].imag:.17g}",
                 f"{dens[j]:.17g}",
             ])
-    return h
 
 
 def run(config, out_dir=None):

@@ -1,92 +1,79 @@
-"""Hot numeric kernels: Hamiltonian assembly, matrix-free application, quadrature.
+"""Hot numeric kernels: banded Hamiltonian assembly, band product, quadrature.
 
-Vectorized numpy implementations on the interleaved two-component layout
-used by ``numerics``. The matrix-free application reproduces the assembled
-operator exactly, boundary stencils included, so residuals measured without
-a matrix agree with it.
+Both operators are stored as the lower band of a real symmetric matrix,
+band[d, j] = H[j + d, j], unused row tails zero. The first-order operator
+lives on interleaved nodes (index 2j is the upper component at node j, 2j+1
+the lower one) in the real gauge: the physical Hermitian matrix is
+U H U^dagger with U = diag(1, i, 1, i, ...).
 """
 
 import numpy as np
 
 
 def assemble_dirac(f, m, v, h, r):
-    """Dense Hermitian matrix of the first-order operator on interleaved nodes.
+    """Lower band (4, 2n) of the first-order operator in the real gauge.
 
-    Layout: index 2j is the upper component at node j, 2j+1 the lower one.
-    Momentum enters through antisymmetric central differences (-i/2h on the
-    off-diagonal spinor-swapped neighbors), the oscillator profile f through
-    +/- i f on the same-node spinor swap, the mass m with opposite signs on
-    the two components, and v on both. A second-difference regulator of
-    strength r (opposite sign on the two components) lifts the lattice
-    doubler branch by 2r/h; r = 0 disables it. End stencils are truncated,
-    which pins the wavefunction to zero one spacing outside the last node.
+    In the physical gauge momentum enters through antisymmetric central
+    differences (-i/2h on the off-diagonal spinor-swapped neighbors), the
+    oscillator profile f through +/- i f on the same-node spinor swap, the
+    mass m with opposite signs on the two components, and v on both. A
+    second-difference regulator of strength r (opposite sign on the two
+    components) lifts the lattice doubler branch by 2r/h; r = 0 disables it.
+    End stencils are truncated, which pins the wavefunction to zero one
+    spacing outside the last node.
     """
     n = f.shape[0]
-    H = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    up = 2 * np.arange(n)
-    lo = up + 1
     c = 1.0 / (2.0 * h)
-    # sigma_x p
-    H[up[:-1], lo[1:]] += -1j * c
-    H[up[1:], lo[:-1]] += 1j * c
-    H[lo[:-1], up[1:]] += -1j * c
-    H[lo[1:], up[:-1]] += 1j * c
-    # -sigma_y f
-    H[up, lo] += 1j * f
-    H[lo, up] += -1j * f
-    # sigma_z m + v
-    H[up, up] += m + v
-    H[lo, lo] += -m + v
-    if r != 0.0:
-        w = r / h
-        H[up, up] += w
-        H[lo, lo] += -w
-        H[up[:-1], up[1:]] += -w / 2.0
-        H[up[1:], up[:-1]] += -w / 2.0
-        H[lo[:-1], lo[1:]] += w / 2.0
-        H[lo[1:], lo[:-1]] += w / 2.0
-    return H
+    w = r / h
+    band = np.zeros((4, 2 * n))
+    # sigma_z m + v, regulator diagonal
+    band[0, 0::2] = m + v + w
+    band[0, 1::2] = -m + v - w
+    # -sigma_y f on the node, sigma_x p from the lower component to the next upper
+    band[1, 0::2] = -f
+    band[1, 1:-1:2] = -c
+    # regulator between neighboring nodes of the same component
+    band[2, 0:-2:2] = -w / 2.0
+    band[2, 1:-2:2] = w / 2.0
+    # sigma_x p from the upper component to the next lower
+    band[3, 0:-2:2] = c
+    return band
 
 
 def assemble_schrodinger(pot, h):
-    """Dense symmetric matrix of -d2/dx2 + pot with truncated end stencils."""
+    """Lower band (2, n) of -d2/dx2 + pot with truncated end stencils."""
     n = pot.shape[0]
-    H = np.zeros((n, n))
-    idx = np.arange(n)
-    H[idx, idx] = 2.0 / h**2 + pot
-    H[idx[:-1], idx[:-1] + 1] = -1.0 / h**2
-    H[idx[:-1] + 1, idx[:-1]] = -1.0 / h**2
-    return H
+    band = np.zeros((2, n))
+    band[0] = 2.0 / h**2 + pot
+    band[1, :-1] = -1.0 / h**2
+    return band
 
 
-def dirac_apply(f, m, v, h, r, psi1, psi2, energy):
-    """Matrix-free (H - E) psi for the interleaved operator above.
+def band_matvec(band, x):
+    """H @ x for the symmetric matrix with lower band `band`.
 
-    Matches assemble_dirac exactly, including the truncated boundary
-    stencils, so residuals measured here agree with the assembled matrix.
+    x is a vector or a block of columns (first axis along the band).
     """
-    c = 1.0 / (2.0 * h)
-    d1 = np.zeros_like(psi1)
-    d2 = np.zeros_like(psi2)
-    d1[0] = psi1[1] * c
-    d1[-1] = -psi1[-2] * c
-    d1[1:-1] = (psi1[2:] - psi1[:-2]) * c
-    d2[0] = psi2[1] * c
-    d2[-1] = -psi2[-2] * c
-    d2[1:-1] = (psi2[2:] - psi2[:-2]) * c
-    out1 = -1j * d2 + 1j * f * psi2 + (m + v - energy) * psi1
-    out2 = -1j * d1 - 1j * f * psi1 + (-m + v - energy) * psi2
-    if r != 0.0:
-        w = r / h
-        s1 = np.zeros_like(psi1)
-        s2 = np.zeros_like(psi2)
-        s1[:-1] += psi1[1:]
-        s1[1:] += psi1[:-1]
-        s2[:-1] += psi2[1:]
-        s2[1:] += psi2[:-1]
-        out1 += w * psi1 - (w / 2.0) * s1
-        out2 += -w * psi2 + (w / 2.0) * s2
-    return out1, out2
+    col = (slice(None),) + (None,) * (x.ndim - 1)
+    y = band[0][col] * x
+    for d in range(1, band.shape[0]):
+        y[d:] += band[d, :-d][col] * x[:-d]
+        y[:-d] += band[d, :-d][col] * x[d:]
+    return y
+
+
+def band_dense(band):
+    """Full symmetric matrix with lower band `band`.
+
+    Fortran order, so LAPACK can overwrite it in place instead of copying.
+    """
+    n = band.shape[1]
+    H = np.zeros((n, n), order="F")
+    j = np.arange(n)
+    for d in range(band.shape[0]):
+        H[j[d:], j[:n - d]] = band[d, :n - d]
+        H[j[:n - d], j[d:]] = band[d, :n - d]
+    return H
 
 
 def _interval_integral(w, h):

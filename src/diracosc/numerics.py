@@ -1,11 +1,12 @@
 """Discretized Hamiltonians and the numerical ground truth they provide.
 
-Dense storage with direct LAPACK eigensolves keeps every run deterministic;
-the largest matrices used by the verification suite are ~8000x8000. The
-first-order operator uses antisymmetric central differences plus an optional
-second-difference regulator (strength r) that lifts the lattice doubler
-branch by 2r/h; r = 1 is the default for spectra, while residual diagnostics
-always run at r = 0 so they measure the continuum equation.
+Both operators are real symmetric lower bands (see ``kernels``), the
+first-order one in the gauge U = diag(1, i, 1, i, ...); direct LAPACK
+eigensolves keep every run deterministic. The first-order operator uses
+antisymmetric central differences plus an optional second-difference
+regulator (strength r) that lifts the lattice doubler branch by 2r/h; r = 1
+is the default for spectra, while residual diagnostics always run at r = 0
+so they measure the continuum equation.
 """
 
 from dataclasses import dataclass, field, replace
@@ -38,14 +39,13 @@ FIXED_POINT_MAX_ITER = 100
 @dataclass(frozen=True)
 class DiracMatrix:
     grid: Grid
-    storage: np.ndarray          # dense Hermitian, dimension 2*n_points
-    wilson_r: float
+    storage: np.ndarray          # real-gauge lower band, shape (4, 2*n_points)
 
 
 @dataclass(frozen=True)
 class SchrodingerMatrix:
     grid: Grid
-    storage: np.ndarray          # dense symmetric, dimension n_points
+    storage: np.ndarray          # lower band, shape (2, n_points)
 
 
 @dataclass(frozen=True)
@@ -97,17 +97,17 @@ def build_dirac(profiles, grid, wilson_r=1.0):
     f = _sample(profiles.f, x)
     m = _sample(profiles.m, x)
     v = _sample(profiles.v, x)
-    H = kernels.assemble_dirac(f, m, v, grid.spacing, float(wilson_r))
-    return DiracMatrix(grid=grid, storage=H, wilson_r=float(wilson_r))
+    band = kernels.assemble_dirac(f, m, v, grid.spacing, float(wilson_r))
+    return DiracMatrix(grid=grid, storage=band)
 
 
 def build_schrodinger(potential):
     """Assemble -d2/dx2 + V from a sampled potential."""
     grid = potential.grid
-    H = kernels.assemble_schrodinger(
+    band = kernels.assemble_schrodinger(
         np.asarray(potential.samples, dtype=float), grid.spacing
     )
-    return SchrodingerMatrix(grid=grid, storage=H)
+    return SchrodingerMatrix(grid=grid, storage=band)
 
 
 def _fix_phase(vectors):
@@ -122,32 +122,37 @@ def _fix_phase(vectors):
 
 
 def eigensolve(matrix, k=None, window=None):
-    """Eigenpairs of an assembled matrix with the h-weighted normalization.
+    """Eigenpairs of an assembled operator with the h-weighted normalization.
 
-    Schrodinger: the k algebraically smallest pairs. Dirac: pairs ordered by
-    |E| so states near the gap center surface first; `window=(lo, hi)`
-    restricts the solve to that eigenvalue range (much faster than a full
-    decomposition for large matrices). Values are reported in ascending
-    order; selection, not ordering, is by |E|.
+    Schrodinger: the k algebraically smallest pairs (all when k is None),
+    from the tridiagonal band. Dirac: the pairs in `window=(lo, hi)`, or the
+    full spectrum when window is None, from the real-gauge band; vectors are
+    returned in the physical gauge. Values are in ascending order.
     """
-    H = matrix.storage
-    dim = H.shape[0]
+    band = matrix.storage
+    dim = band.shape[1]
+    is_dirac = isinstance(matrix, DiracMatrix)
+    if is_dirac and k is not None:
+        raise ValueError("k selects Schrodinger levels; pass a window for a Dirac matrix")
     if k is not None and k > dim:
         raise ValueError(f"k={k} exceeds matrix dimension {dim}")
-    is_dirac = isinstance(matrix, DiracMatrix)
     try:
-        if window is not None:
-            vals, vecs = scipy.linalg.eigh(H, subset_by_value=window)
-        elif k is not None and not is_dirac:
-            vals, vecs = scipy.linalg.eigh(H, subset_by_index=[0, k - 1])
+        if is_dirac:
+            vals, vecs = scipy.linalg.eigh(
+                kernels.band_dense(band), subset_by_value=window, overwrite_a=True
+            )
         else:
-            vals, vecs = scipy.linalg.eigh(H)
+            vals, vecs = scipy.linalg.eigh_tridiagonal(
+                band[0], band[1, :-1],
+                select="a" if k is None else "i",
+                select_range=None if k is None else (0, k - 1),
+            )
     except scipy.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {err}") from err
-    if is_dirac and k is not None and k < len(vals):
-        keep = np.sort(np.argsort(np.abs(vals), kind="stable")[:k])
-        vals, vecs = vals[keep], vecs[:, keep]
-    res = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
+    res = np.linalg.norm(kernels.band_matvec(band, vecs) - vecs * vals, axis=0)
+    if is_dirac:
+        vecs = vecs.astype(complex)
+        vecs[1::2] *= 1j
     vecs = _fix_phase(vecs / math.sqrt(matrix.grid.spacing))
     return EigenResult(
         kind="dirac" if is_dirac else "schrodinger",
@@ -267,6 +272,16 @@ def schrodinger_continuum_edge(reduced, grid):
     return float(np.min(np.real(reduced.w_tilde(ends)) ** 2))
 
 
+def _dirac_minus_e(f, m, v, h, psi1, psi2, energy):
+    """(H - E) psi at r = 0 on physical components, via the real-gauge band."""
+    x = np.empty(2 * len(psi1), dtype=complex)
+    x[0::2] = psi1
+    x[1::2] = -1j * psi2
+    # E enters like v, on both diagonals
+    y = kernels.band_matvec(kernels.assemble_dirac(f, m, v - energy, h, 0.0), x)
+    return y[0::2], 1j * y[1::2]
+
+
 def dirac_residual(profiles, psi, energy, jump_mask=True):
     """|| (H - E) psi || / || psi || with H matrix-free at r = 0.
 
@@ -280,8 +295,8 @@ def dirac_residual(profiles, psi, energy, jump_mask=True):
     f = _sample(profiles.f, x)
     m = _sample(profiles.m, x)
     v = _sample(profiles.v, x)
-    r1, r2 = kernels.dirac_apply(f, m, v, grid.spacing, 0.0, psi.upper, psi.lower,
-                                 float(energy))
+    r1, r2 = _dirac_minus_e(f, m, v, grid.spacing, psi.upper, psi.lower,
+                            float(energy))
     n = grid.n_points
     mask = np.ones(n, dtype=bool)
     k = int(EXCLUDE_FRAC * n)
@@ -314,15 +329,15 @@ def reconstruct_spinor(phi, chi, model, energy):
     caller can switch to the direct first-order construction.
     """
     grid = phi.grid
-    x = grid.nodes
     h = grid.spacing
-    f = model.kappa_f * np.asarray(model.profile.value(x), dtype=float)
-    m = model.kappa_m * np.asarray(model.profile.value(x), dtype=float)
-    v = model.kappa_v * np.asarray(model.profile.value(x), dtype=float)
+    shape = _sample(model.profile, grid.nodes)
+    f = model.kappa_f * shape
+    m = model.kappa_m * shape
+    v = model.kappa_v * shape
     p1 = chi[0] * np.asarray(phi.samples, dtype=complex)
     p2 = chi[1] * np.asarray(phi.samples, dtype=complex)
     # intertwiner = sigma_x p - sigma_y f + sigma_z m - v + E
-    o1, o2 = kernels.dirac_apply(f, m, -v, h, 0.0, p1, p2, -float(energy))
+    o1, o2 = _dirac_minus_e(f, m, -v, h, p1, p2, -float(energy))
     out_norm = math.sqrt(float(np.sum(np.abs(o1) ** 2 + np.abs(o2) ** 2)) * h)
     in_norm = math.sqrt(float(np.sum(np.abs(p1) ** 2 + np.abs(p2) ** 2)) * h)
     if in_norm == 0:

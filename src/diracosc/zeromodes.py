@@ -36,10 +36,8 @@ from .errors import (
     SupercriticalError,
 )
 from .model import (
-    CoupledModel,
     CustomProfile,
     GeneralProfiles,
-    Grid,
     ScalarField,
     SpinorField,
     StepProfile,

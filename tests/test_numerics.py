@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from diracosc import kernels
 from diracosc.errors import ZeroOutputError
 from diracosc.model import (
     CoupledModel,
@@ -47,14 +48,21 @@ def scarf_model(scale=0.8):
     return CoupledModel(3.0, 4.0, 0.0, TanhProfile(scale))
 
 
+def physical_dirac(matrix):
+    """U dense(band) U^dagger with U = diag(1, i, 1, i, ...): the physical operator."""
+    u = np.ones(matrix.storage.shape[1], dtype=complex)
+    u[1::2] = 1j
+    return u[:, None] * kernels.band_dense(matrix.storage) * u.conj()
+
+
 def test_hermiticity_of_assembled_matrices():
     g = Grid(10.0, 301)
     profiles = scarf_model().general()
     for r in (0.0, 1.0):
-        H = build_dirac(profiles, g, wilson_r=r).storage
+        H = physical_dirac(build_dirac(profiles, g, wilson_r=r))
         assert np.max(np.abs(H - H.conj().T)) <= 1e-12
     pot = ScalarField(g, g.nodes**2)
-    S = build_schrodinger(pot).storage
+    S = kernels.band_dense(build_schrodinger(pot).storage)
     assert np.max(np.abs(S - S.T)) <= 1e-12
 
 
@@ -99,18 +107,20 @@ def test_eigensolve_contract_residual_and_ordering():
 
 
 def test_eigensolve_explicit_two_by_two():
-    # the solver contract on the smallest Hermitian example: [[0, i], [-i, 0]]
-    # has eigenvalues -1, +1; duck-typed storage exercises the generic branch
-    class Tiny:
-        storage = np.array([[0, 1j], [-1j, 0]])
-        grid = Grid(1.0, 3)
-
-    res = eigensolve(Tiny())
-    assert res.values == pytest.approx([-1.0, 1.0])
+    # the solver contract on the smallest Dirac operator: three free nodes at
+    # r = 0 give sigma_x times the 3-point central difference, with
+    # eigenvalues 0 (twice) and +-1/(sqrt(2) h) (twice each)
+    g = Grid(1.0, 3)
+    profiles = GeneralProfiles(zero_profile(), zero_profile(), zero_profile())
+    matrix = build_dirac(profiles, g, wilson_r=0.0)
+    res = eigensolve(matrix)
+    top = 1.0 / (math.sqrt(2.0) * g.spacing)
+    assert res.values == pytest.approx([-top, -top, 0.0, 0.0, top, top], abs=1e-12)
     assert np.all(res.residuals <= 1e-12)
+    H = physical_dirac(matrix)
     for i, lam in enumerate(res.values):
-        v = res.vectors[:, i]
-        assert np.linalg.norm(Tiny.storage @ v - lam * v) <= 1e-12
+        v = res.vectors[:, i] * math.sqrt(g.spacing)
+        assert np.linalg.norm(H @ v - lam * v) <= 1e-12
 
 
 def test_eigensolve_window_and_k_selection():
@@ -118,14 +128,14 @@ def test_eigensolve_window_and_k_selection():
     matrix = build_dirac(scarf_model().general(), g, wilson_r=0.1)
     full = eigensolve(matrix)
     windowed = eigensolve(matrix, window=(-4.2, 4.2))
-    sel = np.abs(full.values) <= 4.0
     assert np.allclose(
         np.sort(full.values[np.abs(full.values) <= 4.2]),
         np.sort(windowed.values), atol=1e-10)
-    k3 = eigensolve(matrix, window=(-4.2, 4.2), k=3)
-    assert len(k3.values) == 3
-    # by-|E| selection keeps the gap-center states
-    assert np.max(np.abs(k3.values)) <= np.sort(np.abs(windowed.values))[2] + 1e-12
+    # k selects Schrodinger levels only; a Dirac solve takes a window
+    with pytest.raises(ValueError):
+        eigensolve(matrix, window=(-4.2, 4.2), k=3)
+    with pytest.raises(ValueError):
+        eigensolve(matrix, k=3)
 
 
 def test_eigensolve_deterministic():
