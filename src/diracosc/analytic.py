@@ -20,10 +20,7 @@ from .susy import critical_field, is_subcritical
 class LevelRecord:
     n: int
     sigma: int
-    e_squared: float
-    energy: float             # positive root; the -E mirror is implied
-    formula_id: str
-    parameters: dict
+    e_squared: float           # the +-E mirror pair shares it
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,7 @@ def scarf2_levels(a, b=0.0):
         nmax = math.ceil(a) - 1
         for sigma, n in _sigma_range(nmax):
             e2 = a * a - (a - n) ** 2
-            entries.append(
-                LevelRecord(n, sigma, e2, math.sqrt(max(e2, 0.0)), "scarf2",
-                            {"A": a, "B": b})
-            )
+            entries.append(LevelRecord(n, sigma, e2))
     return LevelTable(tuple(entries), "scarf2", meta)
 
 
@@ -106,9 +100,7 @@ def rosen_morse2_levels(a, b):
             excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
                              "reason": "negative E^2"})
             continue
-        entries.append(
-            LevelRecord(n, sigma, e2, math.sqrt(e2), "rosen_morse2", {"A": a, "B": b})
-        )
+        entries.append(LevelRecord(n, sigma, e2))
     return LevelTable(tuple(entries), "rosen_morse2",
                       {"A": a, "B": b, "excluded": excluded})
 
@@ -139,10 +131,7 @@ def _field_variant(formula_id, alpha0, kappa, denom_coupling, kv, nmax):
             excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
                              "reason": "non-normalizable: (A-n)^2 <= |B|"})
             continue
-        entries.append(
-            LevelRecord(n, sigma, e2, math.sqrt(e2), formula_id,
-                        {"A": a, "alpha0": alpha0, "kappa": kappa, "kappa_v": kv})
-        )
+        entries.append(LevelRecord(n, sigma, e2))
     return LevelTable(tuple(entries), formula_id,
                       {"A": a, "alpha0": alpha0, "excluded": excluded})
 

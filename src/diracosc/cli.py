@@ -7,7 +7,6 @@ Exit codes: 0 all checks passed, 1 input/usage error, 2 tolerance failure.
 """
 
 import argparse
-import csv
 import datetime
 import json
 import math
@@ -41,12 +40,11 @@ WORKFLOWS = ("spectrum", "zeromode", "sweep", "arbitrate")
 DEFAULT_TOLERANCES = {
     "match_e2": 1e-3,          # analytic vs numeric E^2 agreement
     "arbitrate": 5e-3,         # per-level tolerance for the variant contest
-    "residual_quadrature": 1e-6,    # zero-mode residuals by mechanism
-    "residual_interface": 1e-4,
-    "residual_transformed": 1e-6,
-    "norm": 1e-8,              # h-weighted norm deviation from 1
-    "transformed_eigenvalue": 1e-3,
 }
+
+# zero-mode Dirac residuals by mechanism
+RESIDUAL_TOL = {"quadrature": 1e-6, "interface_matching": 1e-4}
+NORM_TOL = 1e-8                # h-weighted norm deviation from 1
 
 _PROFILE_TYPES = {
     "linear": (LinearProfile, ("slope", "offset")),
@@ -78,16 +76,6 @@ def profile_from_dict(spec):
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad {kind} profile: {err}") from err
-
-
-def profile_to_dict(profile):
-    for kind, (cls, fields) in _PROFILE_TYPES.items():
-        if type(profile) is cls:
-            return {"type": kind, **{f: getattr(profile, f) for f in fields}}
-    if isinstance(profile, TabulatedProfile):
-        return {"type": "tabulated", "nodes": profile.nodes.tolist(),
-                "samples": profile.samples.tolist()}
-    raise ConfigError(f"profile {type(profile).__name__} is not serializable")
 
 
 @dataclass(frozen=True)
@@ -173,8 +161,7 @@ def _dirac_bound_census(model, grid, wilson_r):
     window = ends + 1.0
     result = numerics.eigensolve(matrix, window=(-window, window))
     edge = numerics.dirac_continuum_edge(profiles, grid)
-    classified = numerics.classify_bound(result, edge)
-    values, _ = classified.bound()
+    values, _ = numerics.classify_bound(result, edge).bound()
     warnings = []
     gap = 2.0 * wilson_r / grid.spacing
     if wilson_r > 0 and gap < 1.5 * ends:
@@ -182,7 +169,7 @@ def _dirac_bound_census(model, grid, wilson_r):
             f"doubler gap 2r/h = {gap:g} is not well above the asymptotic "
             f"scale {ends:g}; raise wilson_r or refine the grid"
         )
-    return values, edge, classified, warnings
+    return values, edge, warnings
 
 
 def _cluster_e_squared(values, tol):
@@ -196,6 +183,12 @@ def _cluster_e_squared(values, tol):
             out[-1][0] = (out[-1][0] * out[-1][1] + val) / (out[-1][1] + 1)
             out[-1][1] += 1
     return [(float(v), int(c)) for v, c in out]
+
+
+def _census_match(values, tables, tol, spacing):
+    """E^2 clusters of a bound census, and each table matched against them."""
+    clusters = _cluster_e_squared(values, max(tol, 20.0 * spacing**2))
+    return clusters, [_match_tables(table, clusters, tol) for table in tables]
 
 
 def _match_tables(table, clusters, tol):
@@ -265,15 +258,12 @@ def run_spectrum(config):
              "the spectrum workflow handles kappa_v = 0; use 'arbitrate' for "
              "the electric-field formula contest")
     tables = _analytic_tables(model)
-    values, edge, classified, warnings = _dirac_bound_census(
-        model, config.grid, config.wilson_r)
+    values, edge, warnings = _dirac_bound_census(model, config.grid, config.wilson_r)
     tol = config.tolerances["match_e2"]
-    cluster_tol = max(tol, 20.0 * config.grid.spacing**2)
-    clusters = _cluster_e_squared(values, cluster_tol)
+    clusters, matches = _census_match(values, tables, tol, config.grid.spacing)
     checks = []
     table_reports = []
-    for table in tables:
-        records, unmatched = _match_tables(table, clusters, tol)
+    for table, (records, unmatched) in zip(tables, matches):
         table_reports.append({
             "formula_id": table.formula_id,
             "metadata": _plain(table.metadata),
@@ -302,10 +292,28 @@ def run_zeromode(config):
     grid = config.grid
     artifacts = {}
     checks = []
+    if kind == "transformed_potential":
+        try:
+            params = analytic.transformed_potential_parameters(
+                float(config.model["lambda"]), int(config.model["n"])
+            )
+        except (KeyError, ValueError) as err:
+            raise ConfigError(f"bad transformed model: {err}") from err
+        if not params.valid:
+            raise ConfigError(f"transformed parameters rejected: {params.reason}")
+        try:
+            zeromodes.zero_mode_transformed(params, grid)
+        except ConstructionFailedError as err:   # always: no zero mode exists
+            results = {
+                "mechanism": "transformed_potential",
+                "construction_failed": str(err),
+                "spectrum_head": [float(v) for v in err.spectrum[:6]],
+            }
+            checks.append(_check("construction_succeeded", 0.0, 0.5, "ge"))
+            return results, checks, artifacts
     if kind == "coupled":
         model = coupled_model_from_spec(config.model)
         mode = zeromodes.zero_mode_quadrature(model, grid)
-        rtol = config.tolerances["residual_quadrature"]
     elif kind == "step":
         try:
             problem = zeromodes.StepMatchProblem(
@@ -325,33 +333,10 @@ def run_zeromode(config):
             )
         except ValueError as err:   # energy outside the decaying window
             raise ConfigError(str(err)) from err
-        rtol = config.tolerances["residual_interface"]
         if mode is None:
             results = {"mechanism": "interface_matching", "matched": False,
                        "note": "interface condition has no solution at this energy"}
             checks.append(_check("interface_matched", 0.0, 0.5, "ge"))
-            return results, checks, artifacts
-    elif kind == "transformed_potential":
-        try:
-            params = analytic.transformed_potential_parameters(
-                float(config.model["lambda"]), int(config.model["n"])
-            )
-        except (KeyError, ValueError) as err:
-            raise ConfigError(f"bad transformed model: {err}") from err
-        if not params.valid:
-            raise ConfigError(f"transformed parameters rejected: {params.reason}")
-        rtol = config.tolerances["residual_transformed"]
-        try:
-            mode = zeromodes.zero_mode_transformed(
-                params, grid, tol=config.tolerances["transformed_eigenvalue"]
-            )
-        except ConstructionFailedError as err:
-            results = {
-                "mechanism": "transformed_potential",
-                "construction_failed": str(err),
-                "spectrum_head": [float(v) for v in err.spectrum[:6]],
-            }
-            checks.append(_check("construction_succeeded", 0.0, 0.5, "ge"))
             return results, checks, artifacts
     else:
         raise ConfigError(f"zeromode model type must be coupled|step|transformed, got {kind!r}")
@@ -366,9 +351,9 @@ def run_zeromode(config):
     if mode.normalizable:
         checks.append(_check("grid_norm_deviation",
                              abs(mode.psi.norm_squared - 1.0),
-                             config.tolerances["norm"], "le"))
+                             NORM_TOL, "le"))
         checks.append(_check("dirac_residual", mode.metadata["dirac_residual"],
-                             rtol, "le"))
+                             RESIDUAL_TOL[mode.mechanism], "le"))
         artifacts["wavefunction.csv"] = mode.psi
     return results, checks, artifacts
 
@@ -388,8 +373,8 @@ def run_sweep(config):
     warnings = []
     for kv in kv_values:
         m = replace(model, kappa_v=kv)
-        values, edge, _, step_warnings = _dirac_bound_census(m, config.grid,
-                                                             config.wilson_r)
+        values, edge, step_warnings = _dirac_bound_census(m, config.grid,
+                                                          config.wilson_r)
         for w in step_warnings:
             if w not in warnings:
                 warnings.append(w)
@@ -422,15 +407,13 @@ def run_arbitrate(config):
     printed, rederived = analytic.rm2_with_field_levels(
         prof.amplitude, model.kappa_f, model.kappa_m, model.kappa_v
     )
-    values, edge, _, warnings = _dirac_bound_census(model, config.grid,
-                                                    config.wilson_r)
+    values, edge, warnings = _dirac_bound_census(model, config.grid, config.wilson_r)
     tol = config.tolerances["arbitrate"]
-    cluster_tol = max(tol, 20.0 * config.grid.spacing**2)
-    clusters = _cluster_e_squared(values, cluster_tol)
+    clusters, matches = _census_match(values, (printed, rederived), tol,
+                                      config.grid.spacing)
     verdicts = {}
     per_table = {}
-    for table in (printed, rederived):
-        records, unmatched = _match_tables(table, clusters, tol)
+    for table, (records, unmatched) in zip((printed, rederived), matches):
         devs = [r["abs_deviation"] for r in records if math.isfinite(r["abs_deviation"])]
         worst = max(devs) if devs else 0.0
         agrees = all(r["matched"] for r in records) and not unmatched
@@ -520,18 +503,12 @@ def build_report(config, results, checks):
 
 
 def write_wavefunction_csv(path, psi):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "re_psi1", "im_psi1", "re_psi2", "im_psi2",
-                         "prob_density"])
-        dens = psi.density()
-        for j, x in enumerate(psi.grid.nodes):
-            writer.writerow([
-                f"{x:.17g}",
-                f"{psi.upper[j].real:.17g}", f"{psi.upper[j].imag:.17g}",
-                f"{psi.lower[j].real:.17g}", f"{psi.lower[j].imag:.17g}",
-                f"{dens[j]:.17g}",
-            ])
+    """One row per node, round-trip precision, CRLF line ends."""
+    columns = (psi.grid.nodes, psi.upper.real, psi.upper.imag,
+               psi.lower.real, psi.lower.imag, psi.density())
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               newline="\r\n", comments="",
+               header="x,re_psi1,im_psi1,re_psi2,im_psi2,prob_density")
 
 
 def run(config, out_dir=None):

@@ -134,6 +134,8 @@ def eigensolve(matrix, k=None, window=None):
     is_dirac = isinstance(matrix, DiracMatrix)
     if is_dirac and k is not None:
         raise ValueError("k selects Schrodinger levels; pass a window for a Dirac matrix")
+    if not is_dirac and window is not None:
+        raise ValueError("window selects Dirac pairs; pass k for a Schrodinger matrix")
     if k is not None and k > dim:
         raise ValueError(f"k={k} exceeds matrix dimension {dim}")
     try:

@@ -3,12 +3,13 @@
 * quadrature: integrate the shared profile and exponentiate, for the
   proportional model (mechanism "quadrature");
 * interface matching for two-sided constant profiles ("interface_matching");
-* transformed-potential construction with independent f and m ("transformed_potential").
+* transformed-potential construction with independent f and m, which proves
+  the absence of a zero mode instead of returning one.
 
-The transformed-potential path is implemented in full but has no zero mode to
-return for any valid closure (nu = lam - 1 - n), and it raises
-ConstructionFailedError carrying the spectrum it did find. Two proofs, neither
-resting on the solver:
+The transformed-potential construction has no zero mode to return for any
+valid closure (nu = lam - 1 - n), so it always raises ConstructionFailedError
+carrying the spectrum it did find; no spinor is ever reconstructed. Two
+proofs, neither resting on the solver:
 
 * Closed form. V1 = lam^2 + nu^2 - lam(lam-1) sech^2 x + 2 lam nu tanh x is
   Rosen-Morse II with A = lam - 1, B = lam*nu, shifted by
@@ -51,7 +52,7 @@ MATCH_TOL = 1e-12
 @dataclass(frozen=True)
 class ZeroModeResult:
     psi: SpinorField
-    mechanism: str             # "quadrature" | "interface_matching" | "transformed_potential"
+    mechanism: str             # "quadrature" | "interface_matching"
     normalizable: bool
     decay_rates: tuple         # asymptotic exponents toward -inf and +inf
     metadata: dict
@@ -232,72 +233,35 @@ def transformed_potential_profiles(params):
     return osc, mass, potential
 
 
-def zero_mode_transformed(params, grid, tol=1e-3):
+def zero_mode_transformed(params, grid):
     """Transformed-potential construction targeting level index params.n.
 
-    Builds the decoupled second-order problem, eigensolves it, and demands
-    an eigenvalue of magnitude <= tol at level index n. For valid parameters
-    the spectrum never contains one, so this raises ConstructionFailedError
-    with the spectrum attached; the reconstruction below it documents what
-    would be returned if a root existed. Why (see the module docstring):
+    Builds the decoupled second-order problem, eigensolves its lowest n + 3
+    levels and raises ConstructionFailedError with that spectrum attached:
+    for valid parameters level n is never an E = 0 bound state. Why (see the
+    module docstring):
 
     * the closed-form level n of V1 is 0 but non-normalizable, since
       (A-n)^2 = nu^2 <= lam*nu = |B|; the only bound level is
       lam^2 + nu^2 - A^2 - B^2/A^2, below the continuum edge (lam - nu)^2
-      (also, every eigenvalue is >= min V1 = lam - nu^2/(lam-1) > 0);
+      (also, every eigenvalue is >= min V1 = lam - nu^2/(lam-1) > 0, so no
+      tolerance could accept one as a zero);
     * the first-order operator obeys
       E^2 >= min_x [f^2 + m^2 - sqrt(f'^2 + m'^2)] > 0.
     """
     if not params.valid:
         raise ValueError(f"invalid parameters: {params.reason}")
-    osc, mass, potential = transformed_potential_profiles(params)
+    _, _, potential = transformed_potential_profiles(params)
     pot = ScalarField(grid, potential(grid.nodes))
     result = numerics.eigensolve(numerics.build_schrodinger(pot), k=params.n + 3)
     spectrum = result.values
     pick = int(np.argmin(np.abs(spectrum)))
-    if pick != params.n or abs(spectrum[pick]) > tol:
-        an2 = (params.a - params.n) ** 2
-        raise ConstructionFailedError(
-            f"no eigenvalue of magnitude <= {tol:g} at level {params.n}: "
-            f"|E^2|min = {abs(spectrum[pick]):g} at level {pick}; level "
-            f"{params.n} is non-normalizable ((A-n)^2 = {an2:g} <= |B| = "
-            f"{abs(params.b):g}) and the potential minimum is "
-            f"{params.lam - params.nu**2 / (params.lam - 1):g} > 0",
-            spectrum=spectrum,
-        )
-    phi1 = ScalarField(grid, result.vectors[:, pick])
-    return _assemble_transformed(params, grid, phi1, osc, mass, potential)
-
-
-def _assemble_transformed(params, grid, phi1, osc, mass, potential):
-    """Spinor from a first-component solution of the transformed problem.
-
-    psi1 = sqrt(m)*phi1; psi2 follows from the first coupled equation at
-    E = 0 with a central-difference derivative. Exposed separately so the
-    reconstruction can be validated on synthetic inputs.
-    """
-    x = grid.nodes
-    h = grid.spacing
-    m = mass(x)
-    f = osc(x)
-    psi1 = np.sqrt(m) * np.asarray(phi1.samples, dtype=complex)
-    d = np.zeros_like(psi1)
-    d[1:-1] = (psi1[2:] - psi1[:-2]) / (2.0 * h)
-    d[0] = (psi1[1] - psi1[0]) / h
-    d[-1] = (psi1[-1] - psi1[-2]) / h
-    psi2 = 1j * (-d - f * psi1) / m
-    psi = SpinorField(grid, psi1, psi2).normalize()
-    profiles = GeneralProfiles(
-        f=CustomProfile(osc, name="transformed_f"),
-        m=CustomProfile(mass, name="transformed_m"),
-        v=CustomProfile(lambda xx: np.zeros_like(np.asarray(xx, float)), name="zero"),
+    an2 = (params.a - params.n) ** 2
+    raise ConstructionFailedError(
+        f"no E = 0 bound state at level {params.n}: "
+        f"|E^2|min = {abs(spectrum[pick]):g} at level {pick}; level "
+        f"{params.n} is non-normalizable ((A-n)^2 = {an2:g} <= |B| = "
+        f"{abs(params.b):g}) and the potential minimum is "
+        f"{params.lam - params.nu**2 / (params.lam - 1):g} > 0",
+        spectrum=spectrum,
     )
-    rate_left = abs(params.lam - params.nu)
-    rate_right = abs(params.lam + params.nu)
-    meta = {
-        "lambda": params.lam,
-        "nu": params.nu,
-        "n": params.n,
-        "dirac_residual": numerics.dirac_residual(profiles, psi, 0.0),
-    }
-    return ZeroModeResult(psi, "transformed_potential", True, (rate_left, rate_right), meta)

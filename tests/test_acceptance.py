@@ -351,7 +351,7 @@ def test_ac8b_transformed_spinor_residuals():
     params = transformed_potential_parameters(lam, n)
     grid = Grid(20.0, 2001)
     try:
-        zero_mode_transformed(params, grid, tol=1e-3)
+        zero_mode_transformed(params, grid)
         failed, spectrum = False, None      # a spinor where none can exist
     except ConstructionFailedError as err:
         failed, spectrum = True, err.spectrum

@@ -6,9 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from diracosc.cli import main, parse_config, profile_from_dict, profile_to_dict, run
+from diracosc.cli import (
+    main,
+    parse_config,
+    profile_from_dict,
+    run,
+    write_wavefunction_csv,
+)
 from diracosc.errors import ConfigError
-from diracosc.model import TanhProfile
+from diracosc.model import Grid, SpinorField, TanhProfile
+from diracosc.zeromodes import StepMatchProblem, step_match
 
 
 def base_config(**overrides):
@@ -39,8 +46,8 @@ def strip_timestamp(text):
 
 
 def test_profile_round_trip():
-    p = TanhProfile(2.0, 0.5)
-    assert profile_from_dict(profile_to_dict(p)) == p
+    spec = {"type": "tanh", "amplitude": 2.0, "shift": 0.5}
+    assert profile_from_dict(spec) == TanhProfile(2.0, 0.5)
     with pytest.raises(ConfigError):
         profile_from_dict({"type": "nope"})
     with pytest.raises(ConfigError):
@@ -58,6 +65,7 @@ def test_parse_config_validation():
         base_config(wilson_r=-0.5),
         base_config(tolerances={"match_e2": -1e-3}),
         base_config(tolerances={"unknown": 1e-3}),
+        base_config(tolerances={"norm": 1e-8}),        # fixed in code, not a key
         base_config(model={"no_type": True}),
     ):
         with pytest.raises(ConfigError):
@@ -113,6 +121,35 @@ def test_zeromode_step_workflow_csv(tmp_path):
     # density column is redundant with the components: verify consistency
     dens = body[:, 1] ** 2 + body[:, 2] ** 2 + body[:, 3] ** 2 + body[:, 4] ** 2
     assert np.allclose(dens, body[:, 5], atol=1e-15)
+
+
+def reference_wavefunction_csv(path, psi):
+    """The csv.writer loop that write_wavefunction_csv must match byte for byte."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["x", "re_psi1", "im_psi1", "re_psi2", "im_psi2",
+                         "prob_density"])
+        dens = psi.density()
+        for j, x in enumerate(psi.grid.nodes):
+            writer.writerow([
+                f"{x:.17g}",
+                f"{psi.upper[j].real:.17g}", f"{psi.upper[j].imag:.17g}",
+                f"{psi.lower[j].real:.17g}", f"{psi.lower[j].imag:.17g}",
+                f"{dens[j]:.17g}",
+            ])
+
+
+def test_wavefunction_csv_matches_csv_writer(tmp_path):
+    # a step mode has exact zeros (imaginary upper, real lower component);
+    # its conjugated, negated copy turns them into signed zeros "-0"
+    psi = step_match(StepMatchProblem(3.0, 3.0, 4.0, 4.0), Grid(5.0, 801)).psi
+    mirrored = SpinorField(psi.grid, np.conj(psi.upper), -psi.lower)
+    for name, field in (("step", psi), ("mirrored", mirrored)):
+        write_wavefunction_csv(tmp_path / f"{name}.csv", field)
+        reference_wavefunction_csv(tmp_path / f"{name}_ref.csv", field)
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+    assert b",-0,-0," in got
 
 
 def test_zeromode_step_no_solution(tmp_path):

@@ -136,6 +136,10 @@ def test_eigensolve_window_and_k_selection():
         eigensolve(matrix, window=(-4.2, 4.2), k=3)
     with pytest.raises(ValueError):
         eigensolve(matrix, k=3)
+    # and a window selects Dirac pairs only; it is not ignored on a Schrodinger band
+    g2 = Grid(10.0, 201)
+    with pytest.raises(ValueError):
+        eigensolve(build_schrodinger(ScalarField(g2, g2.nodes**2)), window=(0.0, 2.0))
 
 
 def test_eigensolve_deterministic():

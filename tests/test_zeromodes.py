@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
 from diracosc.analytic import rosen_morse2_levels, transformed_potential_parameters
@@ -281,6 +283,19 @@ def test_transformed_construction_fails_with_spectrum_attached():
         assert spectrum is not None
         assert spectrum[0] == pytest.approx(ground, abs=1e-3), (lam, n)
         assert np.min(spectrum) > vmin
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(2.0, 8.0), n=st.integers(1, 7))
+def test_transformed_construction_fails_for_every_valid_closure(lam, n):
+    # the walled -d^2/dx^2 is positive definite and V1 >= lam - nu^2/(lam-1)
+    # > 0, so no valid closure has an eigenvalue that could be a zero mode
+    params = transformed_potential_parameters(lam, n)
+    assume(params.valid)
+    with pytest.raises(ConstructionFailedError) as err:
+        zero_mode_transformed(params, Grid(15.0, 601))
+    assert "non-normalizable" in str(err.value)
+    assert err.value.spectrum[0] > lam - params.nu**2 / (lam - 1.0)
 
 
 def test_transformed_invalid_parameters_rejected():
