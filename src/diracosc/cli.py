@@ -151,18 +151,21 @@ def coupled_model_from_spec(spec):
 def _dirac_bound_census(model, grid, wilson_r):
     """Bound eigenvalues of the first-order operator for a coupled model.
 
+    Only pairs inside the continuum edge can be bound, so that edge is the
+    eigen-window; at a zero edge (supercritical field) nothing is solved.
     Also reports configuration smells: the doubler branch sits at |E| of
     order 2*wilson_r/h, and when that gap is not safely above the continuum
     edge a doubler state can masquerade as a bound level.
     """
     profiles = model.general()
-    matrix = numerics.build_dirac(profiles, grid, wilson_r=wilson_r)
-    ends = math.hypot(model.f(grid.half_length), model.m(grid.half_length))
-    window = ends + 1.0
-    result = numerics.eigensolve(matrix, window=(-window, window))
     edge = numerics.dirac_continuum_edge(profiles, grid)
-    values, _ = numerics.classify_bound(result, edge).bound()
+    values = np.empty(0)
+    if edge > 0:
+        matrix = numerics.build_dirac(profiles, grid, wilson_r=wilson_r)
+        result = numerics.eigensolve(matrix, window=(-edge, edge))
+        values, _ = numerics.classify_bound(result, edge).bound()
     warnings = []
+    ends = math.hypot(model.f(grid.half_length), model.m(grid.half_length))
     gap = 2.0 * wilson_r / grid.spacing
     if wilson_r > 0 and gap < 1.5 * ends:
         warnings.append(
@@ -233,18 +236,15 @@ def _match_tables(table, clusters, tol):
 # workflows
 
 def _analytic_tables(model):
-    """Closed-form tables available for a coupled model's profile shape."""
+    """Closed-form tables available for a kappa_v = 0 model's profile shape."""
     prof = model.profile
-    kf, km, kv = model.kappa_f, model.kappa_m, model.kappa_v
-    kappa = math.hypot(kf, km)
-    if isinstance(prof, TanhSechProfile) and kv == 0:
+    kappa = math.hypot(model.kappa_f, model.kappa_m)
+    if isinstance(prof, TanhSechProfile):
         return [analytic.scarf2_levels(kappa * prof.a, kappa * prof.b)]
-    if isinstance(prof, TanhProfile) and kv == 0:
+    if isinstance(prof, TanhProfile):
         a = kappa * prof.amplitude
         b = kappa * kappa * prof.amplitude * prof.shift
         return [analytic.rosen_morse2_levels(a, b)]
-    if isinstance(prof, TanhProfile) and prof.shift == 0 and kv != 0:
-        return list(analytic.rm2_with_field_levels(prof.amplitude, kf, km, kv))
     return []
 
 
@@ -266,7 +266,7 @@ def run_spectrum(config):
     for table, (records, unmatched) in zip(tables, matches):
         table_reports.append({
             "formula_id": table.formula_id,
-            "metadata": _plain(table.metadata),
+            "metadata": table.metadata,
             "levels": records,
             "unmatched_numeric": unmatched,
         })
@@ -345,7 +345,7 @@ def run_zeromode(config):
         "mechanism": mode.mechanism,
         "normalizable": mode.normalizable,
         "decay_rates": [float(r) for r in mode.decay_rates],
-        "metadata": _plain(mode.metadata),
+        "metadata": mode.metadata,
     }
     checks.append(_check("normalizable", 1.0 if mode.normalizable else 0.0, 0.5, "ge"))
     if mode.normalizable:
@@ -461,25 +461,17 @@ def _check(name, value, tolerance, op):
             "passed": bool(passed)}
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON emission."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+def _json_default(obj):
+    """Encode the numpy and complex values the json module does not know."""
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.complexfloating):
+    if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def build_report(config, results, checks):
@@ -488,15 +480,15 @@ def build_report(config, results, checks):
         "tool": {"name": "diracosc", "version": __version__},
         "workflow": config.workflow,
         "config": {
-            "model": _plain(config.model),
+            "model": config.model,
             "grid": {"half_length": config.grid.half_length,
                      "n_points": config.grid.n_points,
                      "spacing": config.grid.spacing},
             "wilson_r": config.wilson_r,
-            "tolerances": _plain(config.tolerances),
+            "tolerances": config.tolerances,
         },
-        "results": _plain(results),
-        "checks": _plain(checks),
+        "results": results,
+        "checks": checks,
         "passed": all(c["passed"] for c in checks),
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -521,7 +513,7 @@ def run(config, out_dir=None):
         write_wavefunction_csv(os.path.join(out, name), psi)
     report_path = os.path.join(out, f"{config.workflow}_report.json")
     with open(report_path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
+        json.dump(report, handle, indent=2, sort_keys=True, default=_json_default)
         handle.write("\n")
     return (0 if report["passed"] else 2), report_path
 

@@ -112,12 +112,9 @@ def build_schrodinger(potential):
 
 def _fix_phase(vectors):
     """Deterministic phase: largest-magnitude entry of each column real-positive."""
-    for i in range(vectors.shape[1]):
-        col = vectors[:, i]
-        j = np.argmax(np.abs(col))
-        piv = col[j]
-        if piv != 0:
-            vectors[:, i] = col * (abs(piv) / piv)
+    piv = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    # a zero column has a zero pivot and keeps its phase
+    vectors *= np.divide(np.abs(piv), piv, out=np.ones_like(piv), where=piv != 0)
     return vectors
 
 
@@ -165,13 +162,15 @@ def eigensolve(matrix, k=None, window=None):
     )
 
 
-def _outer_masses(density):
-    n = len(density)
-    kk = max(1, int(round(OUTER_FRAC * n)))
-    tot = density.sum()
-    if tot == 0:
-        return 1.0, 1.0
-    return density[:kk].sum() / tot, density[-kk:].sum() / tot
+def _outer_rows(result):
+    """Row masks (left, right) of the outer OUTER_FRAC of grid nodes per side."""
+    kk = max(1, int(round(OUTER_FRAC * result.grid.n_points)))
+    if result.kind == "dirac":
+        kk *= 2                      # two interleaved components per node
+    left = np.zeros(result.vectors.shape[0], dtype=bool)
+    right = left.copy()
+    left[:kk] = right[-kk:] = True
+    return left, right
 
 
 def _resolve_cluster(result, idx):
@@ -184,19 +183,9 @@ def _resolve_cluster(result, idx):
     representatives deterministically. Values become Rayleigh quotients and
     residuals are widened by the cluster spread, both within DEGENERACY_TOL.
     """
-    if len(idx) == 1:
-        return
     vecs = result.vectors[:, idx]
-    n = result.grid.n_points
-    kk = max(1, int(round(OUTER_FRAC * n)))
-    outer = np.zeros(vecs.shape[0], dtype=bool)
-    if result.kind == "dirac":
-        node_outer = np.zeros(n, dtype=bool)
-        node_outer[:kk] = node_outer[-kk:] = True
-        outer[0::2] = outer[1::2] = node_outer
-    else:
-        outer[:kk] = outer[-kk:] = True
-    sub = vecs[outer, :]
+    left, right = _outer_rows(result)
+    sub = vecs[left | right, :]
     gram = sub.conj().T @ sub
     _, rot = np.linalg.eigh(gram)
     mixed = vecs @ rot
@@ -228,27 +217,20 @@ def classify_bound(result, continuum_edge):
         residuals=result.residuals.copy(),
         bound_flags=np.zeros(len(result.values), dtype=bool),
     )
-    below = (
-        np.abs(out.values) < continuum_edge
-        if out.kind == "dirac"
-        else out.values < continuum_edge
-    )
-    cand = np.where(below)[0]
-    if len(cand) == 0:
-        return out
+    level = np.abs(out.values) if out.kind == "dirac" else out.values
+    cand = np.flatnonzero(level < continuum_edge)
     # cluster candidates by eigenvalue gaps
-    start = 0
-    clusters = []
-    for i in range(1, len(cand) + 1):
-        if i == len(cand) or abs(out.values[cand[i]] - out.values[cand[i - 1]]) > DEGENERACY_TOL:
-            clusters.append(cand[start:i])
-            start = i
-    for cl in clusters:
-        _resolve_cluster(out, cl)
-    for i in cand:
-        left, right = _outer_masses(out.node_density(i))
-        if left <= OUTER_TOL and right <= OUTER_TOL:
-            out.bound_flags[i] = True
+    gaps = np.flatnonzero(np.abs(np.diff(out.values[cand])) > DEGENERACY_TOL) + 1
+    for cluster in np.split(cand, gaps):
+        if len(cluster) > 1:
+            _resolve_cluster(out, cluster)
+    density = np.abs(out.vectors[:, cand]) ** 2
+    total = density.sum(axis=0)
+    left, right = _outer_rows(out)
+    sides = np.stack([density[left].sum(axis=0), density[right].sum(axis=0)])
+    # a column without probability mass is never bound
+    frac = np.divide(sides, total, out=np.ones_like(sides), where=total > 0)
+    out.bound_flags[cand] = np.all(frac <= OUTER_TOL, axis=0)
     return out
 
 
@@ -261,9 +243,9 @@ def dirac_continuum_edge(profiles, grid):
     """
     edges = []
     for xs in (-grid.half_length, grid.half_length):
-        fs = float(np.asarray(profiles.f.value(xs)))
-        ms = float(np.asarray(profiles.m.value(xs)))
-        vs = float(np.asarray(profiles.v.value(xs)))
+        fs = float(_sample(profiles.f, xs))
+        ms = float(_sample(profiles.m, xs))
+        vs = float(_sample(profiles.v, xs))
         edges.append(math.hypot(fs, ms) - abs(vs))
     return max(0.0, min(edges))
 

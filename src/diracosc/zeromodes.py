@@ -187,7 +187,8 @@ def step_match(problem, grid, flip_f=False, flip_m=False):
         return None
     const, ratio, lam_p, lam_m = matched
     x = grid.nodes
-    env = np.where(x >= 0, np.exp(-lam_p * x), np.exp(lam_m * x))
+    # choose the exponent first: exp(-lam_p x) overflows at large negative x
+    env = np.exp(np.where(x >= 0, -lam_p * x, lam_m * x))
     upper = -const * ratio * env + 0j
     lower = const * 1j * env
     raw = SpinorField(grid, upper, lower)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from diracosc import numerics
 from diracosc.cli import (
     main,
     parse_config,
@@ -15,6 +16,7 @@ from diracosc.cli import (
 )
 from diracosc.errors import ConfigError
 from diracosc.model import Grid, SpinorField, TanhProfile
+from diracosc.numerics import eigensolve
 from diracosc.zeromodes import StepMatchProblem, step_match
 
 
@@ -207,6 +209,48 @@ def test_sweep_workflow(tmp_path):
     assert counts == sorted(counts, reverse=True)
     assert counts[-2:] == [0, 0]
     assert report["results"]["critical_field"] == pytest.approx(5.0)
+
+
+def test_census_window_is_the_continuum_edge(tmp_path, monkeypatch):
+    # the AC-5 sweep values: kappa_v = 5 and 5.5 close the gap (edge 0)
+    windows = []
+
+    def spy(matrix, k=None, window=None):
+        windows.append(window)
+        return eigensolve(matrix, k=k, window=window)
+
+    monkeypatch.setattr(numerics, "eigensolve", spy)
+    doc = base_config(
+        workflow="sweep",
+        model={"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
+               "profile": {"type": "tanh", "amplitude": 1.0, "shift": 0.0}},
+        grid={"half_length": 20.0, "n_points": 201},
+        wilson_r=1.0,
+        sweep={"kappa_v_values": [0.0, 2.0, 4.0, 4.9, 5.0, 5.5]},
+    )
+    code, _ = run(parse_config(doc), out_dir=str(tmp_path))
+    assert code == 0
+    steps = json.loads((tmp_path / "sweep_report.json").read_text())["results"]["steps"]
+    edges = [row["continuum_edge"] for row in steps]
+    assert edges[-2:] == [0.0, 0.0]
+    assert [row["bound_count"] for row in steps][-2:] == [0, 0]
+    assert windows == [(-edge, edge) for edge in edges if edge > 0]
+    assert len(windows) == 4
+
+
+def test_doubler_gap_warning(tmp_path):
+    # 2r/h = 0.5 at r = 0.05, N = 201 sits far below 1.5 times the
+    # asymptotic scale kappa * amplitude = 4
+    def warnings_for(wilson_r, n_points):
+        doc = base_config(wilson_r=wilson_r,
+                          grid={"half_length": 20.0, "n_points": n_points})
+        _, report_path = run(parse_config(doc), out_dir=str(tmp_path))
+        with open(report_path) as handle:
+            return json.load(handle)["results"]["warnings"]
+
+    (warning,) = warnings_for(0.05, 201)
+    assert "doubler gap 2r/h = 0.5 " in warning and "scale 4;" in warning
+    assert warnings_for(1.0, 1201) == []
 
 
 def test_arbitrate_workflow_decisive(tmp_path):

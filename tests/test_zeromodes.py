@@ -191,6 +191,14 @@ def test_step_match_component_relation():
     assert np.allclose(mode.psi.upper, 1j * ratio * mode.psi.lower, atol=1e-14)
 
 
+def test_step_match_wide_box_does_not_overflow():
+    # exp(-lambda_plus * x) at x = -200 overflows; only the decaying branch
+    # of each side may be evaluated (pytest turns the overflow into an error)
+    mode = step_match(StepMatchProblem(3.0, 3.0, 4.0, 4.0), Grid(200.0, 801))
+    assert mode.psi.normalized
+    assert np.all(np.isfinite(mode.psi.upper)) and np.all(np.isfinite(mode.psi.lower))
+
+
 def test_step_match_jackiw_rebbi_limit():
     g = Grid(8.0, 4001)
     mode = step_match(StepMatchProblem(0.0, 0.0, 1.0, 1.0), g)
