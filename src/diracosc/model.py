@@ -136,6 +136,8 @@ class TabulatedProfile(Profile):
             raise ValueError("nodes and samples must be 1-d arrays of equal length")
         if nodes.size < 3:
             raise ValueError("need at least 3 tabulation nodes")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(samples))):
+            raise ValueError("tabulation nodes and samples must be finite")
         steps = np.diff(nodes)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
             raise ValueError("tabulation nodes must be uniform and increasing")

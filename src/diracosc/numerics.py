@@ -6,7 +6,10 @@ eigensolves keep every run deterministic. The first-order operator uses
 antisymmetric central differences plus an optional second-difference
 regulator (strength r) that lifts the lattice doubler branch by 2r/h; r = 1
 is the default for spectra, while residual diagnostics always run at r = 0
-so they measure the continuum equation.
+so they measure the continuum equation. The second-order operator is
+tridiagonal, and so is the r = 1 first-order one after a per-node sigma_y
+rotation: both go to LAPACK's tridiagonal solver. Only r != 1 builds a dense
+matrix.
 """
 
 from dataclasses import dataclass, field, replace
@@ -118,12 +121,38 @@ def _fix_phase(vectors):
     return vectors
 
 
+def _dirac_eigh(band, window):
+    """Real-gauge eigenpairs of a first-order band in `window` (all when None).
+
+    A band that is tridiagonal in the per-node sigma_y basis (r = 1, see
+    kernels.rotate_dirac) is solved there by LAPACK's tridiagonal routines
+    and its vectors rotated back; any other band is solved densely.
+    """
+    rot = kernels.rotate_dirac(band)
+    if rot[2:].any():
+        return scipy.linalg.eigh(
+            kernels.band_dense(band), subset_by_value=window, overwrite_a=True
+        )
+    vals, rv = scipy.linalg.eigh_tridiagonal(
+        rot[0], rot[1, :-1],
+        select="a" if window is None else "v", select_range=window,
+    )
+    # coefficients a of w_j and b of u_j: upper = (a + b)/sqrt2, lower = (b - a)/sqrt2
+    vecs = np.empty_like(rv)
+    vecs[0::2] = (rv[0::2] + rv[1::2]) / math.sqrt(2.0)
+    vecs[1::2] = (rv[1::2] - rv[0::2]) / math.sqrt(2.0)
+    return vals, vecs
+
+
 def eigensolve(matrix, k=None, window=None):
     """Eigenpairs of an assembled operator with the h-weighted normalization.
 
     Schrodinger: the k algebraically smallest pairs (all when k is None),
-    from the tridiagonal band. Dirac: the pairs in `window=(lo, hi)`, or the
-    full spectrum when window is None, from the real-gauge band; vectors are
+    from the tridiagonal band. Dirac: the pairs in `window=(lo, hi]`, or the
+    full spectrum when window is None. At r = 1 the real-gauge band is
+    tridiagonal after the per-node sigma_y rotation (kernels.rotate_dirac)
+    and is solved in that form; any other r takes a dense solve of the
+    real-gauge band. Residuals are taken on the real-gauge band and vectors
     returned in the physical gauge. Values are in ascending order.
     """
     band = matrix.storage
@@ -135,11 +164,11 @@ def eigensolve(matrix, k=None, window=None):
         raise ValueError("window selects Dirac pairs; pass k for a Schrodinger matrix")
     if k is not None and k > dim:
         raise ValueError(f"k={k} exceeds matrix dimension {dim}")
+    if window is not None and not window[0] < window[1]:
+        raise ValueError(f"window {window} must satisfy lo < hi")
     try:
         if is_dirac:
-            vals, vecs = scipy.linalg.eigh(
-                kernels.band_dense(band), subset_by_value=window, overwrite_a=True
-            )
+            vals, vecs = _dirac_eigh(band, window)
         else:
             vals, vecs = scipy.linalg.eigh_tridiagonal(
                 band[0], band[1, :-1],

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from diracosc import numerics
+from diracosc import analytic, numerics
 from diracosc.cli import (
+    _dirac_bound_census,
     main,
     parse_config,
     profile_from_dict,
@@ -15,7 +17,7 @@ from diracosc.cli import (
     write_wavefunction_csv,
 )
 from diracosc.errors import ConfigError
-from diracosc.model import Grid, SpinorField, TanhProfile
+from diracosc.model import CoupledModel, Grid, SpinorField, TanhProfile
 from diracosc.numerics import eigensolve
 from diracosc.zeromodes import StepMatchProblem, step_match
 
@@ -101,6 +103,21 @@ def test_cli_main_supercritical_exit_code(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "critical" in err and "5" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_cli_main_rejects_non_finite_tabulated_profile(tmp_path, capsys, bad):
+    doc = base_config()
+    doc["model"]["profile"] = {"type": "tabulated",
+                               "nodes": [-20.0, -10.0, 0.0, 10.0, 20.0],
+                               "samples": [-1.0, -1.0, 0.0, 1.0, bad]}
+    path = write_config(tmp_path, doc)
+    code = main(["run", "--config", path, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: bad tabulated profile: tabulation nodes and samples must be finite"
+    ]
 
 
 def test_zeromode_step_workflow_csv(tmp_path):
@@ -236,6 +253,31 @@ def test_census_window_is_the_continuum_edge(tmp_path, monkeypatch):
     assert [row["bound_count"] for row in steps][-2:] == [0, 0]
     assert windows == [(-edge, edge) for edge in edges if edge > 0]
     assert len(windows) == 4
+
+
+def test_readme_model_census_at_n8001():
+    # the README spectrum model at r = 1 on a 4x finer grid than the README
+    # config: seven bound states in the four closed-form E^2 levels, each one
+    # nearer its level than at N = 2001
+    model = CoupledModel(3.0, 4.0, 0.0, TanhProfile(0.8))
+    table = analytic.rosen_morse2_levels(math.hypot(3.0, 4.0) * 0.8, 0.0)
+    levels = np.array(sorted({rec.e_squared for rec in table.entries}))
+    assert levels == pytest.approx([0.0, 7.0, 12.0, 15.0])
+
+    def census(n_points):
+        values, _, warnings = _dirac_bound_census(model, Grid(20.0, n_points), 1.0)
+        assert warnings == []
+        e2 = values**2
+        nearest = np.argmin(np.abs(e2[:, None] - levels), axis=1)
+        worst = [np.max(np.abs(e2[nearest == k] - levels[k])) if np.any(nearest == k)
+                 else np.inf for k in range(len(levels))]
+        return len(values), np.bincount(nearest, minlength=len(levels)), worst
+
+    count, multiplicity, fine = census(8001)
+    assert count == 7
+    assert multiplicity.tolist() == [1, 2, 2, 2]
+    _, _, coarse = census(2001)
+    assert all(f < c for f, c in zip(fine, coarse)), (fine, coarse)
 
 
 def test_doubler_gap_warning(tmp_path):

@@ -1,4 +1,5 @@
-"""The numpy kernels: banded assembly, the band product and cumulative quadrature."""
+"""The numpy kernels: banded assembly, the sigma_y rotation, the band product
+and cumulative quadrature."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -62,6 +63,20 @@ def test_apply_matches_assembled_matrix(n, r, energy, seed):
     band = kernels.assemble_dirac(f, m, v, h, r)
     dense = kernels.band_dense(band)
     assert np.array_equal(u[:, None] * dense * u.conj(), reference_dirac(f, m, v, h, r))
+
+    # the per-node sigma_y rotation is an orthogonal similarity; at r = 1 it
+    # leaves exactly a tridiagonal with the closed-form entries
+    q = np.kron(np.eye(n), np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0))
+    rot = kernels.rotate_dirac(band)
+    assert np.allclose(kernels.band_dense(rot), q.T @ dense @ q, atol=1e-12, rtol=0)
+    rot1 = kernels.rotate_dirac(kernels.assemble_dirac(f, m, v, h, 1.0))
+    assert not rot1[2:].any()
+    diag = np.empty(2 * n)
+    diag[0::2], diag[1::2] = v + f, v - f
+    off = np.full(2 * n - 1, -1.0 / h)
+    off[0::2] = m + 1.0 / h
+    assert np.allclose(rot1[0], diag, atol=1e-12, rtol=0)
+    assert np.allclose(rot1[1, :-1], off, atol=1e-12, rtol=0)
 
     schrodinger = kernels.assemble_schrodinger(f, h)
     for b in (band, schrodinger):

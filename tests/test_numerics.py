@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracosc import kernels
+from diracosc.cli import _dirac_bound_census
 from diracosc.errors import ZeroOutputError
 from diracosc.model import (
     CoupledModel,
@@ -19,6 +23,7 @@ from diracosc.model import (
     TanhProfile,
 )
 from diracosc.numerics import (
+    DiracMatrix,
     build_dirac,
     build_schrodinger,
     classify_bound,
@@ -123,6 +128,85 @@ def test_eigensolve_explicit_two_by_two():
         assert np.linalg.norm(H @ v - lam * v) <= 1e-12
 
 
+def random_dirac(n, h, r, seed, v_scale=5.0):
+    """DiracMatrix of random f, m, v samples on n nodes of spacing h."""
+    rng = np.random.default_rng(seed)
+    f, m = rng.uniform(-5.0, 5.0, size=(2, n))
+    v = rng.uniform(-v_scale, v_scale, size=n)
+    grid = Grid(h * (n - 1) / 2.0, n)
+    return DiracMatrix(grid=grid, storage=kernels.assemble_dirac(f, m, v, h, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 60),
+    h=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    full=st.booleans(),
+    first=st.integers(0, 119),
+    count=st.integers(0, 120),
+)
+def test_r1_eigensolve_matches_dense_reference(n, h, seed, full, first, count):
+    # r = 1 solves on the tridiagonal sigma_y form; the reference is the dense
+    # physical operator. Window edges sit midway between reference eigenvalues
+    # (or beyond the ends), so membership in (lo, hi] is unambiguous.
+    matrix = random_dirac(n, h, 1.0, seed)
+    H = physical_dirac(matrix)
+    ref = np.linalg.eigvalsh(kernels.band_dense(matrix.storage))
+    tol = 1e-12 * max(1.0, np.max(np.abs(ref)))
+    if full:
+        window, expected = None, ref
+    else:
+        cuts = np.concatenate([[ref[0] - 1.0], (ref[:-1] + ref[1:]) / 2.0,
+                               [ref[-1] + 1.0]])
+        i = min(first, 2 * n - 1)
+        j = min(i + count, 2 * n)
+        # an empty window stops short of the next eigenvalue
+        hi = cuts[j] if j > i else (cuts[i] + ref[i]) / 2.0
+        window, expected = (cuts[i], hi), ref[i:j]
+    res = eigensolve(matrix, window=window)
+    assert res.values.shape == expected.shape
+    assert np.all(np.abs(res.values - expected) <= tol)
+    x = res.vectors * math.sqrt(h)
+    assert np.allclose(np.linalg.norm(x, axis=0), 1.0, atol=1e-12, rtol=0)
+    assert np.all(np.linalg.norm(H @ x - x * res.values, axis=0) <= tol)
+    assert np.all(res.residuals <= tol)
+
+
+def test_only_r_other_than_one_builds_a_dense_matrix(monkeypatch):
+    dense, eigh = kernels.band_dense, scipy.linalg.eigh
+    calls = []
+
+    def no_dense(band):
+        raise AssertionError("dense matrix built for an r = 1 solve")
+
+    monkeypatch.setattr(kernels, "band_dense", no_dense)
+    res = eigensolve(random_dirac(41, 0.2, 1.0, seed=5), window=(-3.0, 3.0))
+    assert len(res.values) > 0
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "band_dense", spy("band_dense", dense))
+    monkeypatch.setattr(scipy.linalg, "eigh", spy("eigh", eigh))
+    res = eigensolve(random_dirac(41, 0.2, 0.5, seed=5), window=(-3.0, 3.0))
+    assert len(res.values) > 0
+    assert calls == ["band_dense", "eigh"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 101), h=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_r0_spectrum_is_mirror_symmetric_without_field(n, h, seed):
+    # at r = 0 and v = 0 the node-staggered (-1)^j [[0, 1], [-1, 0]] on the
+    # real-gauge band anticommutes with the operator for any f and m
+    vals = eigensolve(random_dirac(n, h, 0.0, seed, v_scale=0.0)).values
+    scale = max(1.0, np.max(np.abs(vals)))
+    assert np.max(np.abs(vals + vals[::-1])) <= 1e-12 * scale
+
+
 def test_eigensolve_window_and_k_selection():
     g = Grid(20.0, 501)
     matrix = build_dirac(scarf_model().general(), g, wilson_r=0.1)
@@ -136,6 +220,11 @@ def test_eigensolve_window_and_k_selection():
         eigensolve(matrix, window=(-4.2, 4.2), k=3)
     with pytest.raises(ValueError):
         eigensolve(matrix, k=3)
+    # a window is a nonempty interval (lo, hi], on either Dirac solver
+    for r in (0.1, 1.0):
+        with pytest.raises(ValueError, match="lo < hi"):
+            eigensolve(build_dirac(scarf_model().general(), g, wilson_r=r),
+                       window=(1.0, 1.0))
     # and a window selects Dirac pairs only; it is not ignored on a Schrodinger band
     g2 = Grid(10.0, 201)
     with pytest.raises(ValueError):
@@ -149,6 +238,20 @@ def test_eigensolve_deterministic():
     b = eigensolve(matrix, window=(-5, 5))
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_points=st.sampled_from([201, 401]),
+       kappa_v=st.lists(st.floats(0.0, 6.0), min_size=2, max_size=4))
+def test_bound_count_does_not_increase_with_field(n_points, kappa_v):
+    # the AC-5 model: a stronger electric coupling never binds more states
+    grid = Grid(20.0, n_points)
+    counts = [
+        len(_dirac_bound_census(CoupledModel(3.0, 4.0, kv, TanhProfile(1.0)),
+                                grid, 1.0)[0])
+        for kv in sorted(kappa_v)
+    ]
+    assert counts == sorted(counts, reverse=True)
 
 
 def test_dirac_oscillator_tower():
