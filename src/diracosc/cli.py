@@ -155,7 +155,8 @@ def _dirac_bound_census(model, grid, wilson_r):
     eigen-window; at a zero edge (supercritical field) nothing is solved.
     Also reports configuration smells: the doubler branch sits at |E| of
     order 2*wilson_r/h, and when that gap is not safely above the continuum
-    edge a doubler state can masquerade as a bound level.
+    edge a doubler state can masquerade as a bound level; and a sloped
+    linear profile never saturates, so its box-end edge is no threshold.
     """
     profiles = model.general()
     edge = numerics.dirac_continuum_edge(profiles, grid)
@@ -171,6 +172,12 @@ def _dirac_bound_census(model, grid, wilson_r):
         warnings.append(
             f"doubler gap 2r/h = {gap:g} is not well above the asymptotic "
             f"scale {ends:g}; raise wilson_r or refine the grid"
+        )
+    if isinstance(model.profile, LinearProfile) and model.profile.slope != 0:
+        warnings.append(
+            f"the linear profile (slope {model.profile.slope:g}) does not saturate: "
+            "the continuum edge is its box-end value and grows with "
+            "grid.half_length, so it is not a scattering threshold"
         )
     return values, edge, warnings
 

@@ -9,6 +9,10 @@ class ProfileDomainError(DiracOscError):
     """Profile evaluated outside its tabulated range."""
 
 
+class NonFiniteProfileError(DiracOscError, ValueError):
+    """A profile evaluated to NaN or infinity on the grid."""
+
+
 class ProfileSingularityError(DiracOscError):
     """Derivative requested at a point where the profile is not differentiable."""
 

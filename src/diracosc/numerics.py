@@ -10,16 +10,19 @@ so they measure the continuum equation. The second-order operator is
 tridiagonal, and so is the r = 1 first-order one after a per-node sigma_y
 rotation: both go to LAPACK's tridiagonal solver. Only r != 1 builds a dense
 matrix.
+
+scipy.linalg is imported inside the eigensolver, so the first eigensolve
+loads it; zero-mode constructions, report rechecks and runs that stop at a
+config error need numpy alone and start faster.
 """
 
 from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
-from .errors import ZeroOutputError
+from .errors import NonFiniteProfileError, ZeroOutputError
 from .model import Grid, ScalarField, SpinorField
 
 # classify_bound: a bound state keeps at most OUTER_TOL of its probability in
@@ -86,9 +89,15 @@ class EigenResult:
 
 
 def _sample(profile, x):
-    vals = np.asarray(profile.value(x), dtype=float)
+    """Profile values at x; NonFiniteProfileError on NaN or infinity.
+
+    The values are checked here, so numpy's overflow warnings while
+    evaluating them are not shown.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(profile.value(x), dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("profile produced non-finite values on the grid")
+        raise NonFiniteProfileError("profile produced non-finite values on the grid")
     return vals
 
 
@@ -128,6 +137,8 @@ def _dirac_eigh(band, window):
     kernels.rotate_dirac) is solved there by LAPACK's tridiagonal routines
     and its vectors rotated back; any other band is solved densely.
     """
+    import scipy.linalg
+
     rot = kernels.rotate_dirac(band)
     if rot[2:].any():
         return scipy.linalg.eigh(
@@ -166,6 +177,8 @@ def eigensolve(matrix, k=None, window=None):
         raise ValueError(f"k={k} exceeds matrix dimension {dim}")
     if window is not None and not window[0] < window[1]:
         raise ValueError(f"window {window} must satisfy lo < hi")
+    import scipy.linalg
+
     try:
         if is_dirac:
             vals, vecs = _dirac_eigh(band, window)
@@ -175,7 +188,7 @@ def eigensolve(matrix, k=None, window=None):
                 select="a" if k is None else "i",
                 select_range=None if k is None else (0, k - 1),
             )
-    except scipy.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {err}") from err
     res = np.linalg.norm(kernels.band_matvec(band, vecs) - vecs * vals, axis=0)
     if is_dirac:

@@ -97,7 +97,7 @@ def zero_mode_quadrature(model, grid):
             model.kappa_v, susy.critical_field(model.kappa_f, model.kappa_m)
         )
     x = grid.nodes
-    w = np.asarray(model.profile.value(x), dtype=float)
+    w = numerics._sample(model.profile, x)
     integral = kernels.cumulative_simpson_center(w, grid.spacing, grid.center_index)
     w_left, w_right = w[0], w[-1]
 

@@ -17,7 +17,17 @@ from diracosc.cli import (
     write_wavefunction_csv,
 )
 from diracosc.errors import ConfigError
-from diracosc.model import CoupledModel, Grid, SpinorField, TanhProfile
+from diracosc.model import (
+    CoupledModel,
+    Grid,
+    LinearProfile,
+    SpinorField,
+    StepProfile,
+    TabulatedProfile,
+    TanhPowerProfile,
+    TanhProfile,
+    TanhSechProfile,
+)
 from diracosc.numerics import eigensolve
 from diracosc.zeromodes import StepMatchProblem, step_match
 
@@ -117,6 +127,19 @@ def test_cli_main_rejects_non_finite_tabulated_profile(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.splitlines() == [
         "error: bad tabulated profile: tabulation nodes and samples must be finite"
+    ]
+
+
+@pytest.mark.parametrize("workflow", ["spectrum", "zeromode"])
+def test_cli_main_rejects_overflowing_profile(tmp_path, capsys, workflow):
+    # slope * x overflows to inf at every node but x = 0
+    doc = base_config(workflow=workflow, grid={"half_length": 20.0, "n_points": 201})
+    doc["model"]["profile"] = {"type": "linear", "slope": 1e308}
+    path = write_config(tmp_path, doc)
+    code = main(["run", "--config", path, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: profile produced non-finite values on the grid"
     ]
 
 
@@ -293,6 +316,33 @@ def test_doubler_gap_warning(tmp_path):
     (warning,) = warnings_for(0.05, 201)
     assert "doubler gap 2r/h = 0.5 " in warning and "scale 4;" in warning
     assert warnings_for(1.0, 1201) == []
+
+
+def test_non_saturating_edge_warning(tmp_path):
+    # at N = 201 the doubler gap 2r/h = 10 is above 1.5 times every box-end
+    # scale here, so the only warning a census can give is the edge one
+    grid = Grid(20.0, 201)
+    tanh_table = TabulatedProfile(np.linspace(-20.0, 20.0, 41),
+                                  np.tanh(np.linspace(-20.0, 20.0, 41)))
+    for profile in (TanhProfile(1.0), TanhPowerProfile(3), TanhSechProfile(1.0, 0.5),
+                    StepProfile(1.0, 1.0), tanh_table, LinearProfile(0.0, 1.0)):
+        model = CoupledModel(3.0, 4.0, 0.0, profile)
+        assert _dirac_bound_census(model, grid, 1.0)[2] == [], profile
+
+    linear = {"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
+              "profile": {"type": "linear", "slope": 0.05}}
+    reports = {}
+    for workflow, extra in (("spectrum", {}),
+                            ("sweep", {"sweep": {"kappa_v_values": [0.0, 1.0, 2.0]}})):
+        doc = base_config(workflow=workflow, model=linear, wilson_r=1.0,
+                          grid={"half_length": 20.0, "n_points": 201}, **extra)
+        _, report_path = run(parse_config(doc), out_dir=str(tmp_path / workflow))
+        with open(report_path) as handle:
+            reports[workflow] = json.load(handle)["results"]["warnings"]
+    (warning,) = reports["spectrum"]
+    assert "linear profile (slope 0.05) does not saturate" in warning
+    assert "grows with grid.half_length" in warning
+    assert reports["sweep"] == [warning]
 
 
 def test_arbitrate_workflow_decisive(tmp_path):

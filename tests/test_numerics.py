@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diracosc import kernels
 from diracosc.cli import _dirac_bound_census
-from diracosc.errors import ZeroOutputError
+from diracosc.errors import DiracOscError, ZeroOutputError
 from diracosc.model import (
     CoupledModel,
     CustomProfile,
@@ -229,6 +229,16 @@ def test_eigensolve_window_and_k_selection():
     g2 = Grid(10.0, 201)
     with pytest.raises(ValueError):
         eigensolve(build_schrodinger(ScalarField(g2, g2.nodes**2)), window=(0.0, 2.0))
+
+
+def test_non_finite_profile_error_is_a_value_error():
+    # callers that catch ValueError keep working; the CLI catches DiracOscError
+    model = CoupledModel(3.0, 4.0, 0.0, LinearProfile(1e308))
+    for call in (lambda g: build_dirac(model.general(), g),
+                 lambda g: dirac_continuum_edge(model.general(), g)):
+        with pytest.raises(ValueError, match="non-finite") as info:
+            call(Grid(20.0, 201))
+        assert isinstance(info.value, DiracOscError)
 
 
 def test_eigensolve_deterministic():
