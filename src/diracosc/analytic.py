@@ -139,11 +139,15 @@ def _field_variant(formula_id, alpha0, kappa, denom_coupling, kv, nmax):
 def rm2_with_field_levels(alpha0, kf, km, kv):
     """Both level formulas for W = alpha0*tanh(x) with an electric coupling.
 
-    The two variants disagree whenever kv != 0: `rm2_field_printed` uses the
-    full coupling magnitude everywhere, `rm2_field_rederived` substitutes the
-    field-reduced magnitude and carries kv in the denominator correction (the
-    composition of the reduction, the eps map and the tilted-tanh formula).
-    Neither is declared right here; a numerical spectrum arbitrates.
+    `rm2_field_printed` uses the full coupling magnitude everywhere,
+    `rm2_field_rederived` substitutes the field-reduced magnitude and carries
+    kv in the denominator correction (the composition of the reduction, the
+    eps map and the tilted-tanh formula). The variants disagree at every kv,
+    kv = 0 included: there the printed one keeps its full-coupling
+    denominator correction (0, 0.923, 2.897, ... for alpha0 = 1, kf = 3,
+    km = 4), while the rederived one reduces to the field-free
+    `rosen_morse2_levels` (0, 9, 16, ...). Neither is declared right here; a
+    numerical spectrum arbitrates.
     """
     if alpha0 <= 0:
         raise ConstraintError(f"need alpha0 > 0, got {alpha0}")

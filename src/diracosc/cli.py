@@ -462,10 +462,21 @@ _WORKFLOW_RUNNERS = {
 # ---------------------------------------------------------------------------
 # report plumbing
 
+def _verdict(check):
+    """Whether a check's value passes its tolerance; ConfigError if malformed."""
+    value, tolerance, op = (check.get(key) for key in ("value", "tolerance", "op"))
+    name = check.get("name")
+    _require(op in ("le", "ge"), f"check {name!r}: op must be 'le' or 'ge', got {op!r}")
+    _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                 for x in (value, tolerance)),
+             f"check {name!r}: value and tolerance must be numbers")
+    return bool(value <= tolerance if op == "le" else value >= tolerance)
+
+
 def _check(name, value, tolerance, op):
-    passed = value <= tolerance if op == "le" else value >= tolerance
-    return {"name": name, "value": value, "tolerance": tolerance, "op": op,
-            "passed": bool(passed)}
+    check = {"name": name, "value": value, "tolerance": tolerance, "op": op}
+    check["passed"] = _verdict(check)
+    return check
 
 
 def _json_default(obj):
@@ -529,17 +540,18 @@ def recheck(report_path):
     """Re-read a report and revalidate its pass/fail verdicts from the data."""
     with open(report_path) as handle:
         report = json.load(handle)
-    if report.get("schema") != 1:
-        raise ConfigError("report schema must be 1")
+    _require(isinstance(report, dict) and report.get("schema") == 1,
+             "report schema must be 1")
     mismatches = 0
     all_passed = True
     for check in report.get("checks", []):
-        value, tolerance, op = check["value"], check["tolerance"], check["op"]
-        passed = value <= tolerance if op == "le" else value >= tolerance
+        _require(isinstance(check, dict), "each check must be an object")
+        passed = _verdict(check)
         all_passed &= passed
         tag = "PASS" if passed else "FAIL"
-        line = f"[recheck] {check['name']}: {tag} (value={value:g}, tol={tolerance:g})"
-        if passed != check["passed"]:
+        line = (f"[recheck] {check.get('name')}: {tag} "
+                f"(value={check['value']:g}, tol={check['tolerance']:g})")
+        if passed != check.get("passed"):
             mismatches += 1
             line += "  ** disagrees with stored verdict **"
         print(line)
@@ -550,22 +562,31 @@ def recheck(report_path):
     return 0 if all_passed else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, the input-error code, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracosc",
         description="Bound states and zero modes of a 1+1D Dirac oscillator "
                     "with position-dependent mass",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a config-driven workflow")
-    runp.add_argument("--config", required=True, help="path to a JSON config")
-    runp.add_argument("--recheck", metavar="REPORT",
-                      help="revalidate an existing report instead of solving")
+    source = runp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to a JSON config")
+    source.add_argument("--recheck", metavar="REPORT",
+                        help="revalidate an existing report instead of solving")
     runp.add_argument("--out", help="output directory (overrides the config)")
     args = parser.parse_args(argv)
 
     try:
-        if args.recheck:
+        if args.recheck is not None:
             return recheck(args.recheck)
         with open(args.config) as handle:
             doc = json.load(handle)

@@ -2,43 +2,36 @@
 
 Both operators are stored as the lower band of a real symmetric matrix,
 band[d, j] = H[j + d, j], unused row tails zero. The first-order operator
-lives on interleaved nodes (index 2j is the upper component at node j, 2j+1
-the lower one) in the real gauge: the physical Hermitian matrix is
-U H U^dagger with U = diag(1, i, 1, i, ...). `rotate_dirac` takes that band
-to the per-node sigma_y basis, where it is tridiagonal at r = 1; `band_dense`
-expands a band for the dense solve that other r need.
+lives on interleaved nodes in the per-node sigma_y basis: index 2j holds
+w_j = (psi1 + i psi2)/sqrt2 and 2j + 1 holds u_j = (psi1 - i psi2)/sqrt2 of
+node j. That map is unitary, so the band is real symmetric with the
+physical spectrum, and at r = 1 it is tridiagonal; `band_dense` expands a
+band for the dense solve that other r need.
 """
 
 import numpy as np
 
 
 def assemble_dirac(f, m, v, h, r):
-    """Lower band (4, 2n) of the first-order operator in the real gauge.
+    """Lower band (4, 2n) of the first-order operator in the sigma_y basis.
 
-    In the physical gauge momentum enters through antisymmetric central
-    differences (-i/2h on the off-diagonal spinor-swapped neighbors), the
-    oscillator profile f through +/- i f on the same-node spinor swap, the
-    mass m with opposite signs on the two components, and v on both. A
-    second-difference regulator of strength r (opposite sign on the two
-    components) lifts the lattice doubler branch by 2r/h; r = 0 disables it.
-    End stencils are truncated, which pins the wavefunction to zero one
-    spacing outside the last node.
+    The physical operator sigma_x p - sigma_y f + sigma_z m + v uses
+    antisymmetric central differences for p, plus a second-difference
+    regulator of strength r (sigma_z, opposite sign on the two components)
+    that lifts the lattice doubler branch by 2r/h; r = 0 disables it. In the
+    (w, u) basis the diagonal is v + f on w_j and v - f on u_j, row 1 holds
+    m + r/h (w_j to u_j) and -(1 + r)/2h (u_j to w_{j+1}), row 2 is zero and
+    row 3 holds (1 - r)/2h (w_j to u_{j+1}), exactly 0.0 at r = 1. End
+    stencils are truncated, which pins the wavefunction to zero one spacing
+    outside the last node.
     """
     n = f.shape[0]
-    c = 1.0 / (2.0 * h)
-    w = r / h
     band = np.zeros((4, 2 * n))
-    # sigma_z m + v, regulator diagonal
-    band[0, 0::2] = m + v + w
-    band[0, 1::2] = -m + v - w
-    # -sigma_y f on the node, sigma_x p from the lower component to the next upper
-    band[1, 0::2] = -f
-    band[1, 1:-1:2] = -c
-    # regulator between neighboring nodes of the same component
-    band[2, 0:-2:2] = -w / 2.0
-    band[2, 1:-2:2] = w / 2.0
-    # sigma_x p from the upper component to the next lower
-    band[3, 0:-2:2] = c
+    band[0, 0::2] = v + f
+    band[0, 1::2] = v - f
+    band[1, 0::2] = m + r / h
+    band[1, 1:-1:2] = -(1.0 + r) / (2.0 * h)
+    band[3, 0:-2:2] = (1.0 - r) / (2.0 * h)
     return band
 
 
@@ -62,34 +55,6 @@ def band_matvec(band, x):
         y[d:] += band[d, :-d][col] * x[:-d]
         y[:-d] += band[d, :-d][col] * x[d:]
     return y
-
-
-def rotate_dirac(band):
-    """Lower band (4, 2n) of a first-order operator in the per-node sigma_y basis.
-
-    Node j's real-gauge pair (upper, lower) becomes w_j = (upper - lower)/sqrt2
-    (index 2j) and u_j = (upper + lower)/sqrt2 (index 2j + 1): a real
-    orthogonal change of basis, so the band stays real symmetric with the
-    same spectrum. For an `assemble_dirac` band the diagonal is v + f on w_j
-    and v - f on u_j, row 1 holds m + r/h (w_j to u_j) and -(1 + r)/2h (u_j
-    to w_{j+1}), row 2 is zero up to rounding and row 3 holds (1 - r)/2h
-    (w_j to u_{j+1}). At r = 1 that last coupling is exactly zero in
-    floating point (1/(2h) equals (1/h)/2) and the operator is tridiagonal.
-    """
-    # on-node block [[a, b], [b, d]]; block from node j to node j + 1
-    # [[p, s], [t, q]] (rows upper/lower of j + 1, columns upper/lower of j)
-    a, d, b = band[0, 0::2], band[0, 1::2], band[1, 0::2]
-    p, q = band[2, 0::2], band[2, 1::2]
-    s, t = band[1, 1::2], band[3, 0::2]
-    rot = np.zeros_like(band)
-    rot[0, 0::2] = (a + d) / 2.0 - b
-    rot[0, 1::2] = (a + d) / 2.0 + b
-    rot[1, 0::2] = (a - d) / 2.0
-    rot[1, 1::2] = (p + s - t - q) / 2.0
-    rot[2, 0::2] = (p - s - t + q) / 2.0
-    rot[2, 1::2] = (p + s + t + q) / 2.0
-    rot[3, 0::2] = (p - s + t - q) / 2.0
-    return rot
 
 
 def band_dense(band):

@@ -1,15 +1,16 @@
 """Discretized Hamiltonians and the numerical ground truth they provide.
 
 Both operators are real symmetric lower bands (see ``kernels``), the
-first-order one in the gauge U = diag(1, i, 1, i, ...); direct LAPACK
-eigensolves keep every run deterministic. The first-order operator uses
-antisymmetric central differences plus an optional second-difference
-regulator (strength r) that lifts the lattice doubler branch by 2r/h; r = 1
-is the default for spectra, while residual diagnostics always run at r = 0
-so they measure the continuum equation. The second-order operator is
-tridiagonal, and so is the r = 1 first-order one after a per-node sigma_y
-rotation: both go to LAPACK's tridiagonal solver. Only r != 1 builds a dense
-matrix.
+first-order one in the per-node sigma_y basis (w_j, u_j) it is solved in;
+direct LAPACK eigensolves keep every run deterministic. The first-order
+operator uses antisymmetric central differences plus an optional
+second-difference regulator (strength r) that lifts the lattice doubler
+branch by 2r/h; r = 1 is the default for spectra, while residual
+diagnostics always run at r = 0 so they measure the continuum equation. The
+second-order operator is tridiagonal, and so is the r = 1 first-order one:
+both go to one call of LAPACK's tridiagonal solver. Only r != 1 builds a
+dense matrix. `_physical` maps sigma_y rows back to the physical (psi1,
+psi2) components.
 
 scipy.linalg is imported inside the eigensolver, so the first eigensolve
 loads it; zero-mode constructions, report rechecks and runs that stop at a
@@ -45,7 +46,7 @@ FIXED_POINT_MAX_ITER = 100
 @dataclass(frozen=True)
 class DiracMatrix:
     grid: Grid
-    storage: np.ndarray          # real-gauge lower band, shape (4, 2*n_points)
+    storage: np.ndarray          # sigma_y-basis lower band, shape (4, 2*n_points)
 
 
 @dataclass(frozen=True)
@@ -130,29 +131,15 @@ def _fix_phase(vectors):
     return vectors
 
 
-def _dirac_eigh(band, window):
-    """Real-gauge eigenpairs of a first-order band in `window` (all when None).
+def _physical(x):
+    """Interleaved physical rows (psi1, psi2) from sigma_y-basis rows (w, u).
 
-    A band that is tridiagonal in the per-node sigma_y basis (r = 1, see
-    kernels.rotate_dirac) is solved there by LAPACK's tridiagonal routines
-    and its vectors rotated back; any other band is solved densely.
+    Inverts w = (psi1 + i psi2)/sqrt2, u = (psi1 - i psi2)/sqrt2 node by node.
     """
-    import scipy.linalg
-
-    rot = kernels.rotate_dirac(band)
-    if rot[2:].any():
-        return scipy.linalg.eigh(
-            kernels.band_dense(band), subset_by_value=window, overwrite_a=True
-        )
-    vals, rv = scipy.linalg.eigh_tridiagonal(
-        rot[0], rot[1, :-1],
-        select="a" if window is None else "v", select_range=window,
-    )
-    # coefficients a of w_j and b of u_j: upper = (a + b)/sqrt2, lower = (b - a)/sqrt2
-    vecs = np.empty_like(rv)
-    vecs[0::2] = (rv[0::2] + rv[1::2]) / math.sqrt(2.0)
-    vecs[1::2] = (rv[1::2] - rv[0::2]) / math.sqrt(2.0)
-    return vals, vecs
+    out = np.empty(x.shape, dtype=complex)
+    out[0::2] = (x[0::2] + x[1::2]) / math.sqrt(2.0)
+    out[1::2] = 1j * ((x[1::2] - x[0::2]) / math.sqrt(2.0))
+    return out
 
 
 def eigensolve(matrix, k=None, window=None):
@@ -160,11 +147,11 @@ def eigensolve(matrix, k=None, window=None):
 
     Schrodinger: the k algebraically smallest pairs (all when k is None),
     from the tridiagonal band. Dirac: the pairs in `window=(lo, hi]`, or the
-    full spectrum when window is None. At r = 1 the real-gauge band is
-    tridiagonal after the per-node sigma_y rotation (kernels.rotate_dirac)
-    and is solved in that form; any other r takes a dense solve of the
-    real-gauge band. Residuals are taken on the real-gauge band and vectors
-    returned in the physical gauge. Values are in ascending order.
+    full spectrum when window is None. A band with nothing beyond its first
+    subdiagonal (Schrodinger, or Dirac at r = 1) goes to LAPACK's
+    tridiagonal solver; a Dirac band at any other r is solved densely.
+    Residuals are taken on the stored band; Dirac vectors are returned as
+    physical (psi1, psi2) rows. Values are in ascending order.
     """
     band = matrix.storage
     dim = band.shape[1]
@@ -179,21 +166,25 @@ def eigensolve(matrix, k=None, window=None):
         raise ValueError(f"window {window} must satisfy lo < hi")
     import scipy.linalg
 
+    select, select_range = "a", None
+    if k is not None:
+        select, select_range = "i", (0, k - 1)
+    elif window is not None:
+        select, select_range = "v", window
     try:
-        if is_dirac:
-            vals, vecs = _dirac_eigh(band, window)
+        if band[2:].any():
+            vals, vecs = scipy.linalg.eigh(
+                kernels.band_dense(band), subset_by_value=window, overwrite_a=True
+            )
         else:
             vals, vecs = scipy.linalg.eigh_tridiagonal(
-                band[0], band[1, :-1],
-                select="a" if k is None else "i",
-                select_range=None if k is None else (0, k - 1),
+                band[0], band[1, :-1], select=select, select_range=select_range
             )
     except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {err}") from err
     res = np.linalg.norm(kernels.band_matvec(band, vecs) - vecs * vals, axis=0)
     if is_dirac:
-        vecs = vecs.astype(complex)
-        vecs[1::2] *= 1j
+        vecs = _physical(vecs)
     vecs = _fix_phase(vecs / math.sqrt(matrix.grid.spacing))
     return EigenResult(
         kind="dirac" if is_dirac else "schrodinger",
@@ -299,13 +290,13 @@ def schrodinger_continuum_edge(reduced, grid):
 
 
 def _dirac_minus_e(f, m, v, h, psi1, psi2, energy):
-    """(H - E) psi at r = 0 on physical components, via the real-gauge band."""
+    """(H - E) psi at r = 0 on physical components, via the sigma_y band."""
     x = np.empty(2 * len(psi1), dtype=complex)
-    x[0::2] = psi1
-    x[1::2] = -1j * psi2
+    x[0::2] = (psi1 + 1j * psi2) / math.sqrt(2.0)
+    x[1::2] = (psi1 - 1j * psi2) / math.sqrt(2.0)
     # E enters like v, on both diagonals
-    y = kernels.band_matvec(kernels.assemble_dirac(f, m, v - energy, h, 0.0), x)
-    return y[0::2], 1j * y[1::2]
+    y = _physical(kernels.band_matvec(kernels.assemble_dirac(f, m, v - energy, h, 0.0), x))
+    return y[0::2], y[1::2]
 
 
 def dirac_residual(profiles, psi, energy, jump_mask=True):

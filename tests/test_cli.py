@@ -380,7 +380,7 @@ def test_recheck_reproduces_verdicts(tmp_path, capsys):
     code = main(["run", "--config", path, "--out", str(tmp_path)])
     report_path = str(tmp_path / "spectrum_report.json")
     capsys.readouterr()
-    code2 = main(["run", "--config", path, "--recheck", report_path])
+    code2 = main(["run", "--recheck", report_path])
     out = capsys.readouterr().out
     assert code2 == code
     assert "overall" in out
@@ -388,8 +388,7 @@ def test_recheck_reproduces_verdicts(tmp_path, capsys):
     report = json.loads((tmp_path / "spectrum_report.json").read_text())
     report["checks"][0]["passed"] = not report["checks"][0]["passed"]
     (tmp_path / "tampered.json").write_text(json.dumps(report))
-    code3 = main(["run", "--config", path,
-                  "--recheck", str(tmp_path / "tampered.json")])
+    code3 = main(["run", "--recheck", str(tmp_path / "tampered.json")])
     assert code3 == 1
 
 
@@ -403,10 +402,62 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
 
 
 def test_recheck_bad_report_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, base_config())
     bad = tmp_path / "bad_report.json"
     bad.write_text(json.dumps({"schema": 99}))
-    assert main(["run", "--config", cfg, "--recheck", str(bad)]) == 1
+    assert main(["run", "--recheck", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("broken, message", [
+    ({"op": None}, "op must be 'le' or 'ge', got None"),
+    ({"op": "lt"}, "op must be 'le' or 'ge', got 'lt'"),
+    ({"value": "0.1"}, "value and tolerance must be numbers"),
+    ({"value": None}, "value and tolerance must be numbers"),
+    ({"tolerance": True}, "value and tolerance must be numbers"),
+])
+def test_recheck_rejects_malformed_check(tmp_path, capsys, broken, message):
+    # a missing key, an unknown op or a non-number is one error line, not a
+    # traceback, and an unknown op is never read as another one
+    check = {"name": "c", "value": 1.0, "tolerance": 0.5, "op": "ge", "passed": True}
+    check.update(broken)
+    check = {key: val for key, val in check.items() if val is not None}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema": 1, "checks": [check]}))
+    assert main(["run", "--recheck", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: check 'c': {message}\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "report schema must be 1"),
+    ({"schema": 1, "checks": [1.0]}, "each check must be an object"),
+])
+def test_recheck_rejects_malformed_report(tmp_path, capsys, doc, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--recheck", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["--config", "config.json", "--recheck", "report.json"],
+    ["--config", "config.json", "--bogus"],
+])
+def test_usage_errors_exit_1(capsys, args):
+    # exit code 2 means a tolerance failure; a usage error is an input error
+    with pytest.raises(SystemExit) as info:
+        main(["run", *args])
+    assert info.value.code == 1
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: diracosc")
+    assert error.startswith("diracosc") and ": error: " in error
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--help"])
+    assert info.value.code == 0
+    assert "--recheck REPORT" in capsys.readouterr().out
 
 
 def test_report_environment_stamp(tmp_path):

@@ -79,7 +79,7 @@ def test_no_module_scope_scipy_import():
     assert not found, "scipy imported at module scope:\n" + "\n".join(found)
 
 
-# run in a fresh interpreter: cli.main on each (config, extra arguments) pair,
+# run in a fresh interpreter: cli.main on each list of arguments,
 # then print the exit codes and the scipy modules loaded so far; then one
 # spectrum run, and the scipy modules again
 CLI_PROBE = """\
@@ -90,7 +90,7 @@ from diracosc.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-codes = [main(["run", "--config", config, *extra]) for config, extra in {runs!r}]
+codes = [main(["run", *args]) for args in {runs!r}]
 print(json.dumps({{"codes": codes, "scipy": scipy_modules()}}))
 main(["run", "--config", {control!r}, "--out", {control_out!r}])
 print(json.dumps({{"scipy": scipy_modules()}}))
@@ -115,10 +115,10 @@ def test_runs_without_an_eigensolve_never_load_scipy(tmp_path):
     spectrum = config("spectrum", "spectrum", {
         "type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
         "profile": {"type": "tanh", "amplitude": 0.8}}, 20.0, 201)
-    runs = [(quadrature, ["--out", str(tmp_path / "quadrature")]),
-            (step, ["--out", str(tmp_path / "step")]),
-            (step, ["--recheck", str(tmp_path / "step" / "zeromode_report.json")]),
-            (bad, [])]
+    runs = [["--config", quadrature, "--out", str(tmp_path / "quadrature")],
+            ["--config", step, "--out", str(tmp_path / "step")],
+            ["--recheck", str(tmp_path / "step" / "zeromode_report.json")],
+            ["--config", bad]]
     code = CLI_PROBE.format(src=str(ROOT / "src"), runs=runs, control=spectrum,
                             control_out=str(tmp_path / "spectrum"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

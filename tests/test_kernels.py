@@ -1,4 +1,4 @@
-"""The numpy kernels: banded assembly, the sigma_y rotation, the band product
+"""The numpy kernels: banded assembly in the sigma_y basis, the band product
 and cumulative quadrature."""
 
 import numpy as np
@@ -38,11 +38,9 @@ def reference_dirac(f, m, v, h, r):
     return H
 
 
-def gauge(n):
-    """Diagonal of U = diag(1, i, 1, i, ...) on n interleaved nodes."""
-    u = np.ones(2 * n, dtype=complex)
-    u[1::2] = 1j
-    return u
+def sigma_y_map(n):
+    """P = I (x) [[1, 1], [-i, i]]/sqrt2: sigma_y-basis (w, u) to physical (psi1, psi2)."""
+    return np.kron(np.eye(n), np.array([[1.0, 1.0], [-1j, 1j]]) / np.sqrt(2.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,30 +51,24 @@ def gauge(n):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_apply_matches_assembled_matrix(n, r, energy, seed):
-    # random profiles and spinor on a small grid: the gauged band is the
-    # complex stencil entry for entry, the band product is the dense product,
-    # and the matrix-free (H - E) psi agrees with it, end stencils included
+    # random profiles and spinor on a small grid: the sigma_y band mapped to
+    # physical components is the complex stencil, its entries are the closed
+    # forms, the band product is the dense product, and the matrix-free
+    # (H - E) psi agrees with it, end stencils included
     rng = np.random.default_rng(seed)
     h = 20.0 / (n - 1)
     f, m, v = rng.uniform(-5.0, 5.0, size=(3, n))
-    u = gauge(n)
+    p = sigma_y_map(n)
     band = kernels.assemble_dirac(f, m, v, h, r)
     dense = kernels.band_dense(band)
-    assert np.array_equal(u[:, None] * dense * u.conj(), reference_dirac(f, m, v, h, r))
+    assert np.allclose(p @ dense @ p.conj().T, reference_dirac(f, m, v, h, r),
+                       atol=1e-12, rtol=0)
 
-    # the per-node sigma_y rotation is an orthogonal similarity; at r = 1 it
-    # leaves exactly a tridiagonal with the closed-form entries
-    q = np.kron(np.eye(n), np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0))
-    rot = kernels.rotate_dirac(band)
-    assert np.allclose(kernels.band_dense(rot), q.T @ dense @ q, atol=1e-12, rtol=0)
-    rot1 = kernels.rotate_dirac(kernels.assemble_dirac(f, m, v, h, 1.0))
-    assert not rot1[2:].any()
     diag = np.empty(2 * n)
     diag[0::2], diag[1::2] = v + f, v - f
-    off = np.full(2 * n - 1, -1.0 / h)
-    off[0::2] = m + 1.0 / h
-    assert np.allclose(rot1[0], diag, atol=1e-12, rtol=0)
-    assert np.allclose(rot1[1, :-1], off, atol=1e-12, rtol=0)
+    assert np.array_equal(band[0], diag)
+    assert not band[2].any()
+    assert not kernels.assemble_dirac(f, m, v, h, 1.0)[2:].any()
 
     schrodinger = kernels.assemble_schrodinger(f, h)
     for b in (band, schrodinger):

@@ -54,10 +54,10 @@ def scarf_model(scale=0.8):
 
 
 def physical_dirac(matrix):
-    """U dense(band) U^dagger with U = diag(1, i, 1, i, ...): the physical operator."""
-    u = np.ones(matrix.storage.shape[1], dtype=complex)
-    u[1::2] = 1j
-    return u[:, None] * kernels.band_dense(matrix.storage) * u.conj()
+    """The physical operator P dense(band) P^dagger, P = I (x) [[1, 1], [-i, i]]/sqrt2."""
+    n = matrix.storage.shape[1] // 2
+    p = np.kron(np.eye(n), np.array([[1.0, 1.0], [-1j, 1j]]) / np.sqrt(2.0))
+    return p @ kernels.band_dense(matrix.storage) @ p.conj().T
 
 
 def test_hermiticity_of_assembled_matrices():
@@ -201,7 +201,7 @@ def test_only_r_other_than_one_builds_a_dense_matrix(monkeypatch):
 @given(n=st.integers(3, 101), h=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
 def test_r0_spectrum_is_mirror_symmetric_without_field(n, h, seed):
     # at r = 0 and v = 0 the node-staggered (-1)^j [[0, 1], [-1, 0]] on the
-    # real-gauge band anticommutes with the operator for any f and m
+    # stored band anticommutes with the operator for any f and m
     vals = eigensolve(random_dirac(n, h, 0.0, seed, v_scale=0.0)).values
     scale = max(1.0, np.max(np.abs(vals)))
     assert np.max(np.abs(vals + vals[::-1])) <= 1e-12 * scale
