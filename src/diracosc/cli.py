@@ -300,9 +300,12 @@ def run_zeromode(config):
     artifacts = {}
     checks = []
     if kind == "transformed_potential":
+        n = config.model.get("n")
+        _require(isinstance(n, int) and not isinstance(n, bool),
+                 f"model.n must be an integer, got {n!r}")
         try:
             params = analytic.transformed_potential_parameters(
-                float(config.model["lambda"]), int(config.model["n"])
+                float(config.model["lambda"]), n
             )
         except (KeyError, ValueError) as err:
             raise ConfigError(f"bad transformed model: {err}") from err
@@ -332,12 +335,12 @@ def run_zeromode(config):
             )
         except (KeyError, ValueError) as err:
             raise ConfigError(f"bad step model: {err}") from err
+        flips = {key: config.model.get(key, False) for key in ("flip_f", "flip_m")}
+        for key, flip in flips.items():
+            _require(isinstance(flip, bool),
+                     f"model.{key} must be true or false, got {flip!r}")
         try:
-            mode = zeromodes.step_match(
-                problem, grid,
-                flip_f=bool(config.model.get("flip_f", False)),
-                flip_m=bool(config.model.get("flip_m", False)),
-            )
+            mode = zeromodes.step_match(problem, grid, **flips)
         except ValueError as err:   # energy outside the decaying window
             raise ConfigError(str(err)) from err
         if mode is None:
@@ -512,13 +515,26 @@ def build_report(config, results, checks):
     }
 
 
+CSV_BLOCK_ROWS = 64            # rows formatted and written per write call
+
+
 def write_wavefunction_csv(path, psi):
-    """One row per node, round-trip precision, CRLF line ends."""
+    """One row per node, "%.17g" per value (round-trip precision), CRLF ends.
+
+    Rows are formatted a block at a time, one string and one write per
+    block, so memory stays bounded: the text held is one block long at any
+    grid size, where one string for the whole file would take several times
+    the float table.
+    """
     columns = (psi.grid.nodes, psi.upper.real, psi.upper.imag,
                psi.lower.real, psi.lower.imag, psi.density())
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               newline="\r\n", comments="",
-               header="x,re_psi1,im_psi1,re_psi2,im_psi2,prob_density")
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as handle:
+        handle.write("x,re_psi1,im_psi1,re_psi2,im_psi2,prob_density\r\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def run(config, out_dir=None):
@@ -582,8 +598,11 @@ def main(argv=None):
     source.add_argument("--config", help="path to a JSON config")
     source.add_argument("--recheck", metavar="REPORT",
                         help="revalidate an existing report instead of solving")
-    runp.add_argument("--out", help="output directory (overrides the config)")
+    runp.add_argument("--out", help="output directory of a --config run "
+                                     "(overrides the config)")
     args = parser.parse_args(argv)
+    if args.recheck is not None and args.out is not None:
+        runp.error("argument --out: not allowed with argument --recheck")
 
     try:
         if args.recheck is not None:

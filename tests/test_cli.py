@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from diracosc.model import (
     TanhSechProfile,
 )
 from diracosc.numerics import eigensolve
-from diracosc.zeromodes import StepMatchProblem, step_match
+from diracosc.zeromodes import StepMatchProblem, step_match, zero_mode_quadrature
 
 
 def base_config(**overrides):
@@ -181,17 +182,39 @@ def reference_wavefunction_csv(path, psi):
             ])
 
 
-def test_wavefunction_csv_matches_csv_writer(tmp_path):
-    # a step mode has exact zeros (imaginary upper, real lower component);
-    # its conjugated, negated copy turns them into signed zeros "-0"
-    psi = step_match(StepMatchProblem(3.0, 3.0, 4.0, 4.0), Grid(5.0, 801)).psi
-    mirrored = SpinorField(psi.grid, np.conj(psi.upper), -psi.lower)
-    for name, field in (("step", psi), ("mirrored", mirrored)):
+@pytest.mark.parametrize("n_points", [3, 63, 65, 129, 801])
+def test_wavefunction_csv_matches_csv_writer(tmp_path, n_points):
+    # the grids end inside the first 64-row block and just past one or two
+    # blocks; a step mode has exact zeros (imaginary upper, real lower
+    # component), its conjugated, negated copy turns them into signed zeros
+    # "-0", and a quadrature mode has non-step values with tails near 1e-15
+    psi = step_match(StepMatchProblem(3.0, 3.0, 4.0, 4.0), Grid(5.0, n_points)).psi
+    fields = {"step": psi,
+              "mirrored": SpinorField(psi.grid, np.conj(psi.upper), -psi.lower)}
+    if n_points > 3:   # a 3-node grid leaves no interior for its residual
+        model = CoupledModel(0.6, 0.8, 0.0, TanhPowerProfile(3, 0.5))
+        fields["quadrature"] = zero_mode_quadrature(model, Grid(24.0, n_points)).psi
+    for name, field in fields.items():
         write_wavefunction_csv(tmp_path / f"{name}.csv", field)
         reference_wavefunction_csv(tmp_path / f"{name}_ref.csv", field)
         got = (tmp_path / f"{name}.csv").read_bytes()
         assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
-    assert b",-0,-0," in got
+        assert got.count(b"\r\n") == n_points + 1, name
+    assert b",-0,-0," in (tmp_path / "mirrored.csv").read_bytes()
+
+
+def test_wavefunction_csv_memory_is_bounded(tmp_path):
+    # formatting the whole file as one string peaks near 8x the float table
+    model = CoupledModel(0.6, 0.8, 0.0, TanhPowerProfile(3, 0.5))
+    psi = zero_mode_quadrature(model, Grid(24.0, 24001)).psi
+    table_bytes = psi.grid.n_points * 6 * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        write_wavefunction_csv(tmp_path / "wavefunction.csv", psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table_bytes
 
 
 def test_zeromode_step_no_solution(tmp_path):
@@ -401,6 +424,33 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"flip_f": "false"}, "model.flip_f must be true or false, got 'false'"),
+    ({"flip_m": 0}, "model.flip_m must be true or false, got 0"),
+], ids=["flip_f", "flip_m"])
+def test_zeromode_step_flags_must_be_booleans(tmp_path, capsys, model, message):
+    # bool("false") is True: a string flag would flip the profile
+    step = {"type": "step", "f_plus": 3.0, "f_minus": 3.0,
+            "m_plus": 4.0, "m_minus": 4.0}
+    doc = base_config(workflow="zeromode", model={**step, **model},
+                      grid={"half_length": 5.0, "n_points": 201},
+                      output_dir=str(tmp_path))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "wavefunction.csv").exists()
+
+
+@pytest.mark.parametrize("n", [1.9, True, "1"])
+def test_zeromode_transformed_level_must_be_an_integer(tmp_path, capsys, n):
+    # int(1.9) would silently run level 1
+    doc = base_config(workflow="zeromode",
+                      model={"type": "transformed_potential", "lambda": 3.0, "n": n},
+                      grid={"half_length": 20.0, "n_points": 201},
+                      output_dir=str(tmp_path))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: model.n must be an integer, got {n!r}\n"
+
+
 def test_recheck_bad_report_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad_report.json"
     bad.write_text(json.dumps({"schema": 99}))
@@ -442,6 +492,7 @@ def test_recheck_rejects_malformed_report(tmp_path, capsys, doc, message):
     [],
     ["--config", "config.json", "--recheck", "report.json"],
     ["--config", "config.json", "--bogus"],
+    ["--recheck", "report.json", "--out", "outdir"],
 ])
 def test_usage_errors_exit_1(capsys, args):
     # exit code 2 means a tolerance failure; a usage error is an input error
