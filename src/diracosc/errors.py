@@ -13,6 +13,10 @@ class NonFiniteProfileError(DiracOscError, ValueError):
     """A profile evaluated to NaN or infinity on the grid."""
 
 
+class VanishingSpinorError(DiracOscError, ValueError):
+    """A spinor has no probability mass on the nodes a residual measures."""
+
+
 class ProfileSingularityError(DiracOscError):
     """Derivative requested at a point where the profile is not differentiable."""
 

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import NonFiniteProfileError, ZeroOutputError
+from .errors import NonFiniteProfileError, VanishingSpinorError, ZeroOutputError
 from .model import Grid, ScalarField, SpinorField
 
 # classify_bound: a bound state keeps at most OUTER_TOL of its probability in
@@ -37,7 +37,7 @@ EXCLUDE_FRAC = 0.05
 # reconstruct_spinor: output/input norm ratio below which the intertwiner
 # counts as having annihilated its input
 ZERO_OUTPUT_TOL = 1e-2
-# selfconsistent_level: energy step that ends the fixed-point loop, and its
+# selfconsistent_level: energy step that ends the Newton loop, and its
 # iteration budget
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 100
@@ -305,7 +305,9 @@ def dirac_residual(profiles, psi, energy, jump_mask=True):
     The outer EXCLUDE_FRAC of nodes on each side is ignored (boundary
     stencils), as are nodes straddling a profile discontinuity when
     jump_mask is set: the continuum equation holds one-sidedly at a jump and
-    a central difference across it measures nothing.
+    a central difference across it measures nothing. Raises
+    VanishingSpinorError (a ValueError) when psi has no probability mass on
+    the nodes left, as on a grid too coarse to keep any.
     """
     grid = psi.grid
     x = grid.nodes
@@ -332,7 +334,10 @@ def dirac_residual(profiles, psi, energy, jump_mask=True):
         np.sum((np.abs(psi.upper) ** 2 + np.abs(psi.lower) ** 2)[mask]) * grid.spacing
     )
     if den == 0:
-        raise ValueError("psi vanishes on the interior")
+        raise VanishingSpinorError(
+            "psi vanishes on the interior nodes the residual measures; "
+            "the grid may be too coarse"
+        )
     return num / den
 
 
@@ -368,13 +373,22 @@ def reconstruct_spinor(phi, chi, model, energy):
 
 
 def selfconsistent_level(model, sigma, level, grid, seed_energy):
-    """Fixed-point solve of one level when the potential carries the energy.
+    """Self-consistent solve of one level when the potential carries the energy.
 
     With an electric coupling the reduced potential depends on E, so the
-    partner-problem spectrum is found by iterating: solve with E_k inside
-    the potential, read off eps at `level`, map back to E_{k+1}. Returns
-    (energy, eps, iterations). Seeds of opposite sign probe the two
-    branches. Raises RuntimeError when the loop fails to settle.
+    level is a root of G(E) = F(E) - E, where F(E) = sgn*sqrt(eps(E)/c)
+    maps the partner eigenvalue eps at `level`, solved with E inside the
+    potential, back to an energy (eps = c*E^2). Each step is a Newton step
+    on G with the exact derivative of the discrete problem: only the
+    diagonal dV/dE = 2*wtilde*kappa_v/scale depends on E, so by
+    Hellmann-Feynman eps'(E) = h*sum(phi^2 * dV/dE) over the h-normalized
+    level vector, and F' = sgn*eps'/(2*sqrt(c*eps)). The step falls back to
+    the plain fixed-point step E <- F(E) when eps = 0, when 1 - F' = 0, or
+    when the Newton value is not finite or leaves the seed's branch (pure
+    Newton was seen to cycle near the critical field). At kappa_v = 0,
+    F' = 0 and every step is the plain one. Returns (energy, eps,
+    iterations). Seeds of opposite sign probe the two branches. Raises
+    RuntimeError when the loop fails to settle.
     """
     from .susy import reduce as susy_reduce
 
@@ -387,7 +401,16 @@ def selfconsistent_level(model, sigma, level, grid, seed_energy):
         eps = float(res.values[level])
         if eps < 0:
             raise RuntimeError(f"level {level} has negative eps={eps:g}")
-        E_new = sgn * math.sqrt(eps / red.epsilon_coefficient)
+        coeff = red.epsilon_coefficient
+        E_new = sgn * math.sqrt(eps / coeff)
+        if eps > 0:
+            dv = 2.0 * model.kappa_v / red.scale * red.w_tilde(grid.nodes)
+            deps = grid.spacing * float(np.sum(res.vectors[:, level] ** 2 * dv))
+            dfde = sgn * deps / (2.0 * math.sqrt(coeff * eps))
+            if dfde != 1.0:
+                newton = (E_new - E * dfde) / (1.0 - dfde)
+                if math.isfinite(newton) and sgn * newton > 0:
+                    E_new = newton
         if abs(E_new - E) < FIXED_POINT_TOL:
             return E_new, eps, it
         E = E_new

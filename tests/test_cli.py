@@ -144,6 +144,23 @@ def test_cli_main_rejects_overflowing_profile(tmp_path, capsys, workflow):
     ]
 
 
+def test_cli_main_rejects_grid_without_residual_nodes(tmp_path, capsys):
+    # at N = 3 the residual's jump mask removes every node
+    doc = base_config(
+        workflow="zeromode",
+        model={"type": "coupled", "kappa_f": 0.6, "kappa_m": 0.8, "kappa_v": 0.0,
+               "profile": {"type": "tanh_power", "exponent": 3, "shift": 0.5}},
+        grid={"half_length": 24.0, "n_points": 3},
+    )
+    path = write_config(tmp_path, doc)
+    code = main(["run", "--config", path, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: psi vanishes on the interior nodes the residual measures; "
+        "the grid may be too coarse"
+    ]
+
+
 def test_zeromode_step_workflow_csv(tmp_path):
     doc = base_config(
         workflow="zeromode",

@@ -485,6 +485,64 @@ def test_selfconsistent_level_matches_composed_formula():
     kp = math.sqrt(21.0)
     expected = (21 - (kp - 1) ** 2) / (1 + 4 / (kp - 1) ** 2)
     assert energy**2 == pytest.approx(expected, abs=2e-3)
-    assert iters < 50
+    assert iters <= 6
     neg, _, _ = selfconsistent_level(model, +1, 1, g, seed_energy=-1.0)
     assert neg == pytest.approx(-energy, abs=1e-6)
+
+
+def picard_level(model, sigma, level, grid, seed_energy, max_iter=300):
+    """Plain fixed-point iteration E <- sgn*sqrt(eps(E)/c) to |dE| < 1e-13.
+
+    Returns (energy, last step, iterations); a slowly contracting case can
+    settle into a roundoff-level 2-cycle instead, so the loop also stops at
+    max_iter and the caller checks the last step.
+    """
+    E = float(seed_energy)
+    sgn = 1.0 if E >= 0 else -1.0
+    for it in range(1, max_iter + 1):
+        red = reduce(model, sigma, energy=E)
+        pot = ScalarField(grid, red.effective_potential(grid.nodes))
+        eps = eigensolve(build_schrodinger(pot), k=level + 1).values[level]
+        E_new = sgn * math.sqrt(eps / red.epsilon_coefficient)
+        step = abs(E_new - E)
+        E = E_new
+        if step < 1e-13:
+            break
+    return E, step, it
+
+
+@pytest.mark.parametrize(
+    "kappa_v, sigma, level, seed, max_iters",
+    [
+        (1.0, +1, 1, 1.0, 4),
+        (2.0, +1, 1, 1.0, 4),
+        (3.0, +1, 1, 1.0, 5),
+        (2.0, -1, 0, 1.0, 4),
+        # near the critical field: pure Newton cycles here and the plain
+        # fallback step carries the loop (the plain loop takes 64 steps)
+        (4.9, +1, 2, 0.5, 6),
+    ],
+)
+def test_selfconsistent_level_newton_matches_picard(kappa_v, sigma, level, seed,
+                                                    max_iters):
+    model = CoupledModel(3.0, 4.0, kappa_v, TanhProfile(1.0))
+    g = Grid(20.0, 1201)
+    energy, eps, iters = selfconsistent_level(model, sigma, level, g, seed)
+    ref, last_step, ref_iters = picard_level(model, sigma, level, g, seed)
+    assert last_step < 1e-12
+    assert energy == pytest.approx(ref, abs=1e-9)
+    assert eps == pytest.approx(reduce(model, sigma).epsilon_coefficient * energy**2,
+                                rel=1e-8)
+    assert iters <= max_iters < ref_iters
+
+
+def test_selfconsistent_level_without_field_settles_in_two_steps():
+    # kappa_v = 0: the potential ignores E, so the second step confirms the first
+    model = scarf_model(1.0)
+    g = Grid(20.0, 1201)
+    energy, eps, iters = selfconsistent_level(model, +1, 1, g, seed_energy=1.0)
+    assert iters == 2
+    res = eigensolve(build_schrodinger(
+        ScalarField(g, reduce(model, +1).effective_potential(g.nodes))), k=2)
+    assert eps == res.values[1]
+    assert energy == math.sqrt(res.values[1])

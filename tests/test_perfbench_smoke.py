@@ -1,0 +1,35 @@
+"""The benchmark harness runs a workload and ends with its JSON result line."""
+
+import json
+import os
+from pathlib import Path
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("workload", ["dirac-window", "partner"])
+def test_benchmark_run_ends_with_result_line(tmp_path, workload):
+    # a copy of the harness next to a link to src/, so its work directory
+    # lands in tmp_path and not in the repository
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    os.symlink(ROOT / "src", tmp_path / "src")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", "0", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert isinstance(result, dict)
+    assert result["correct"] is True
