@@ -17,6 +17,23 @@ class VanishingSpinorError(DiracOscError, ValueError):
     """A spinor has no probability mass on the nodes a residual measures."""
 
 
+class BoxStateError(DiracOscError):
+    """A self-consistent level settled at or above the reduced continuum edge.
+
+    Such a level is a standing wave of the finite box, not a bound level;
+    the partner eigenvalue eps and the edge are attached.
+    """
+
+    def __init__(self, level, eps, edge):
+        self.level = level
+        self.eps = eps
+        self.edge = edge
+        super().__init__(
+            f"level {level} settled at eps = {eps:g}, not below the reduced "
+            f"continuum edge {edge:g}: a box state, not a bound level"
+        )
+
+
 class ProfileSingularityError(DiracOscError):
     """Derivative requested at a point where the profile is not differentiable."""
 

@@ -12,6 +12,17 @@ both go to one call of LAPACK's tridiagonal solver. Only r != 1 builds a
 dense matrix. `_physical` maps sigma_y rows back to the physical (psi1,
 psi2) components.
 
+A windowed or k-smallest tridiagonal solve has two stages. Bisection
+(stebz) stops at sqrt(eps_mach)*||T||, with ||T|| bounded by
+max|d| + 2*max|e|, and inverse iteration (stein) gives the vectors; the
+selected set is exact at any tolerance, because Sturm counts decide it.
+Each value then becomes the Rayleigh quotient v^T T v of its unit vector,
+which is accurate to rounding because the vector error enters squared.
+Vectors whose bisected values lie within GROUP_TOLS tolerances of each
+other get one Rayleigh-Ritz step together, which separates pairs split
+below the bisection tolerance. The full-spectrum call does no bisection
+and keeps LAPACK's values.
+
 scipy.linalg is imported inside the eigensolver, so the first eigensolve
 loads it; zero-mode constructions, report rechecks and runs that stop at a
 config error need numpy alone and start faster.
@@ -23,7 +34,12 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import NonFiniteProfileError, VanishingSpinorError, ZeroOutputError
+from .errors import (
+    BoxStateError,
+    NonFiniteProfileError,
+    VanishingSpinorError,
+    ZeroOutputError,
+)
 from .model import Grid, ScalarField, SpinorField
 
 # classify_bound: a bound state keeps at most OUTER_TOL of its probability in
@@ -37,6 +53,12 @@ EXCLUDE_FRAC = 0.05
 # reconstruct_spinor: output/input norm ratio below which the intertwiner
 # counts as having annihilated its input
 ZERO_OUTPUT_TOL = 1e-2
+# eigensolve, tridiagonal windows: bisection stops at BISECT_TOL * ||T||, and
+# vectors whose bisected values lie within GROUP_TOLS bisection tolerances of
+# each other share one Rayleigh-Ritz step (a pair split by just over 100
+# tolerances keeps residuals near 1e-13 * ||T|| from inverse iteration alone)
+BISECT_TOL = math.sqrt(np.finfo(float).eps)
+GROUP_TOLS = 1000.0
 # selfconsistent_level: energy step that ends the Newton loop, and its
 # iteration budget
 FIXED_POINT_TOL = 1e-10
@@ -142,6 +164,40 @@ def _physical(x):
     return out
 
 
+def _rayleigh_refine(vals, vecs, tv, group_gap):
+    """Rayleigh quotients of bisected eigenpairs, re-sorted.
+
+    vals (ascending) come from bisection to a loose tolerance, and vecs
+    (unit, from inverse iteration) satisfy tv = T @ vecs. A vector accurate
+    to delta has a Rayleigh quotient accurate to delta^2, so each value
+    becomes v^T T v. Vectors whose bisected values lie within group_gap of a
+    neighbour can be mixtures of pairs split below the bisection tolerance;
+    each such group gets one Rayleigh-Ritz step, rotating vecs and tv by the
+    eigenvectors of vecs^T tv over the group.
+
+    The products are einsum calls and the small eigenproblem goes to
+    scipy's LAPACK, which the solve has already loaded: numpy's matmul and
+    eigh would start numpy's own BLAS as well, about 1 MB more resident
+    memory per process.
+    """
+    import scipy.linalg
+
+    breaks = np.flatnonzero(np.diff(vals) > group_gap) + 1
+    groups = np.split(np.arange(len(vals)), breaks)
+    vals = np.einsum("ij,ij->j", vecs, tv)
+    for group in groups:
+        if len(group) > 1:
+            gram = np.einsum("ij,ik->jk", vecs[:, group], tv[:, group])
+            vals[group], rot = scipy.linalg.eigh(0.5 * (gram + gram.T))
+            vecs[:, group] = np.einsum("ij,jk->ik", vecs[:, group], rot)
+            tv[:, group] = np.einsum("ij,jk->ik", tv[:, group], rot)
+    # copy the columns only when the quotients changed their order
+    if np.any(np.diff(vals) < 0):
+        order = np.argsort(vals, kind="stable")
+        vals, vecs, tv = vals[order], vecs[:, order], tv[:, order]
+    return vals, vecs, tv
+
+
 def eigensolve(matrix, k=None, window=None):
     """Eigenpairs of an assembled operator with the h-weighted normalization.
 
@@ -149,9 +205,13 @@ def eigensolve(matrix, k=None, window=None):
     from the tridiagonal band. Dirac: the pairs in `window=(lo, hi]`, or the
     full spectrum when window is None. A band with nothing beyond its first
     subdiagonal (Schrodinger, or Dirac at r = 1) goes to LAPACK's
-    tridiagonal solver; a Dirac band at any other r is solved densely.
-    Residuals are taken on the stored band; Dirac vectors are returned as
-    physical (psi1, psi2) rows. Values are in ascending order.
+    tridiagonal solver; a Dirac band at any other r is solved densely. A
+    windowed or k-smallest tridiagonal solve bisects only to
+    BISECT_TOL*||T|| and then takes each value as the Rayleigh quotient of
+    its vector, with one Rayleigh-Ritz step per group of values closer than
+    GROUP_TOLS bisection tolerances (see _rayleigh_refine). Residuals are
+    taken on the stored band; Dirac vectors are returned as physical
+    (psi1, psi2) rows. Values are in ascending order.
     """
     band = matrix.storage
     dim = band.shape[1]
@@ -160,6 +220,8 @@ def eigensolve(matrix, k=None, window=None):
         raise ValueError("k selects Schrodinger levels; pass a window for a Dirac matrix")
     if not is_dirac and window is not None:
         raise ValueError("window selects Dirac pairs; pass k for a Schrodinger matrix")
+    if k is not None and k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     if k is not None and k > dim:
         raise ValueError(f"k={k} exceeds matrix dimension {dim}")
     if window is not None and not window[0] < window[1]:
@@ -171,18 +233,26 @@ def eigensolve(matrix, k=None, window=None):
         select, select_range = "i", (0, k - 1)
     elif window is not None:
         select, select_range = "v", window
+    tridiagonal = not band[2:].any()
     try:
-        if band[2:].any():
+        if tridiagonal:
+            diag, off = band[0], band[1, :-1]
+            # max|d| + 2*max|e| bounds ||T||
+            norm = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)
+            tol = BISECT_TOL * norm
+            vals, vecs = scipy.linalg.eigh_tridiagonal(
+                diag, off, select=select, select_range=select_range, tol=tol
+            )
+        else:
             vals, vecs = scipy.linalg.eigh(
                 kernels.band_dense(band), subset_by_value=window, overwrite_a=True
             )
-        else:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                band[0], band[1, :-1], select=select, select_range=select_range
-            )
     except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {err}") from err
-    res = np.linalg.norm(kernels.band_matvec(band, vecs) - vecs * vals, axis=0)
+    tv = kernels.band_matvec(band, vecs)
+    if tridiagonal and select != "a":
+        vals, vecs, tv = _rayleigh_refine(vals, vecs, tv, GROUP_TOLS * tol)
+    res = np.linalg.norm(tv - vecs * vals, axis=0)
     if is_dirac:
         vecs = _physical(vecs)
     vecs = _fix_phase(vecs / math.sqrt(matrix.grid.spacing))
@@ -388,7 +458,23 @@ def selfconsistent_level(model, sigma, level, grid, seed_energy):
     Newton was seen to cycle near the critical field). At kappa_v = 0,
     F' = 0 and every step is the plain one. Returns (energy, eps,
     iterations). Seeds of opposite sign probe the two branches. Raises
-    RuntimeError when the loop fails to settle.
+    RuntimeError when the loop fails to settle, and BoxStateError when it
+    settles at an eps that is not below the continuum edge of the last
+    reduced problem (`schrodinger_continuum_edge`, at an E within
+    FIXED_POINT_TOL of the returned one): that level is a state of the box.
+    """
+    energy, eps, iterations, red = _newton_level(model, sigma, level, grid,
+                                                 seed_energy)
+    edge = schrodinger_continuum_edge(red, grid)
+    if not eps < edge:
+        raise BoxStateError(level, eps, edge)
+    return energy, eps, iterations
+
+
+def _newton_level(model, sigma, level, grid, seed_energy):
+    """The loop of selfconsistent_level, without its edge test.
+
+    Returns (energy, eps, iterations, reduced problem of the last solve).
     """
     from .susy import reduce as susy_reduce
 
@@ -412,7 +498,7 @@ def selfconsistent_level(model, sigma, level, grid, seed_energy):
                 if math.isfinite(newton) and sgn * newton > 0:
                     E_new = newton
         if abs(E_new - E) < FIXED_POINT_TOL:
-            return E_new, eps, it
+            return E_new, eps, it, red
         E = E_new
     raise RuntimeError(
         f"fixed-point iteration did not converge in {FIXED_POINT_MAX_ITER} steps"

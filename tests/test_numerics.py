@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diracosc import kernels
 from diracosc.cli import _dirac_bound_census
-from diracosc.errors import DiracOscError, ZeroOutputError
+from diracosc.errors import BoxStateError, DiracOscError, ZeroOutputError
 from diracosc.model import (
     CoupledModel,
     CustomProfile,
@@ -24,6 +24,7 @@ from diracosc.model import (
 )
 from diracosc.numerics import (
     DiracMatrix,
+    _newton_level,
     build_dirac,
     build_schrodinger,
     classify_bound,
@@ -229,6 +230,56 @@ def test_eigensolve_window_and_k_selection():
     g2 = Grid(10.0, 201)
     with pytest.raises(ValueError):
         eigensolve(build_schrodinger(ScalarField(g2, g2.nodes**2)), window=(0.0, 2.0))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_eigensolve_rejects_k_below_one(k):
+    g = Grid(10.0, 201)
+    matrix = build_schrodinger(ScalarField(g, g.nodes**2))
+    with pytest.raises(ValueError, match=f"k={k} must be at least 1"):
+        eigensolve(matrix, k=k)
+
+
+def two_stage_cases():
+    """(id, matrix, eigensolve keywords) for the windowed tridiagonal solves."""
+    readme = CoupledModel(3.0, 4.0, 0.0, TanhProfile(0.8)).general()
+    g = Grid(20.0, 2001)
+    edge = dirac_continuum_edge(readme, g)
+    yield "readme-window", build_dirac(readme, g), {"window": (-edge, edge)}
+    g = Grid(20.0, 1201)
+    for kappa_v in (0.0, 2.0, 4.9):
+        profiles = CoupledModel(3.0, 4.0, kappa_v, TanhProfile(1.0)).general()
+        edge = dirac_continuum_edge(profiles, g)
+        yield (f"ac5-window-kv{kappa_v}", build_dirac(profiles, g),
+               {"window": (-edge, edge)})
+    g = Grid(20.0, 2001)
+    # c = 10 is exactly degenerate (the wells are mirror images and far
+    # apart); at c = 4 and 5 the pairs split by 6.6e-5 down to 1.4e-7, below
+    # the group threshold of the Rayleigh-Ritz step
+    for c in (10.0, 4.0, 5.0):
+        pot = ScalarField(g, 0.5 * (np.abs(g.nodes) - c) ** 2)
+        yield f"double-well-c{c}", build_schrodinger(pot), {"k": 8}
+
+
+@pytest.mark.parametrize("case", list(two_stage_cases()), ids=lambda case: case[0])
+def test_two_stage_solve_matches_full_accuracy_bisection(case):
+    _, matrix, kw = case
+    band = matrix.storage
+    norm = np.abs(band[0]).max() + 2.0 * np.abs(band[1]).max()
+    if "k" in kw:
+        select, select_range = "i", (0, kw["k"] - 1)
+    else:
+        select, select_range = "v", kw["window"]
+    # the reference bisects every eigenvalue to full accuracy (default tol)
+    ref, _ = scipy.linalg.eigh_tridiagonal(band[0], band[1, :-1], select=select,
+                                           select_range=select_range)
+    res = eigensolve(matrix, **kw)
+    assert len(res.values) == len(ref) > 0
+    assert np.max(np.abs(res.values - ref)) <= 1e-12 * norm
+    assert np.max(res.residuals) <= 1e-12 * norm
+    unit = res.vectors * math.sqrt(matrix.grid.spacing)
+    gram = unit.conj().T @ unit
+    assert np.max(np.abs(gram - np.eye(len(ref)))) <= 1e-10
 
 
 def test_non_finite_profile_error_is_a_value_error():
@@ -525,9 +576,11 @@ def picard_level(model, sigma, level, grid, seed_energy, max_iter=300):
 )
 def test_selfconsistent_level_newton_matches_picard(kappa_v, sigma, level, seed,
                                                     max_iters):
+    # the loop alone: the kappa_v = 4.9 level settles above the reduced edge,
+    # which selfconsistent_level refuses (see the box-state test below)
     model = CoupledModel(3.0, 4.0, kappa_v, TanhProfile(1.0))
     g = Grid(20.0, 1201)
-    energy, eps, iters = selfconsistent_level(model, sigma, level, g, seed)
+    energy, eps, iters, _ = _newton_level(model, sigma, level, g, seed)
     ref, last_step, ref_iters = picard_level(model, sigma, level, g, seed)
     assert last_step < 1e-12
     assert energy == pytest.approx(ref, abs=1e-9)
@@ -546,3 +599,19 @@ def test_selfconsistent_level_without_field_settles_in_two_steps():
         ScalarField(g, reduce(model, +1).effective_potential(g.nodes))), k=2)
     assert eps == res.values[1]
     assert energy == math.sqrt(res.values[1])
+
+
+@pytest.mark.parametrize("kappa_v, level, seed", [(4.0, 1, 1.0), (4.9, 2, 0.5)])
+def test_selfconsistent_level_refuses_box_states(kappa_v, level, seed):
+    # the loop settles, but at an eps above the reduced continuum edge: at
+    # kappa_v = 4, level 1 gives E = 1.00073, eps = 2.78184 > edge 2.77453
+    model = CoupledModel(3.0, 4.0, kappa_v, TanhProfile(1.0))
+    g = Grid(20.0, 1201)
+    energy, eps, _, _ = _newton_level(model, +1, level, g, seed)
+    edge = schrodinger_continuum_edge(reduce(model, +1, energy=energy), g)
+    assert eps > edge
+    with pytest.raises(BoxStateError, match="box state") as info:
+        selfconsistent_level(model, +1, level, g, seed)
+    assert info.value.eps == eps
+    assert info.value.edge == pytest.approx(edge, abs=1e-9)
+    assert isinstance(info.value, DiracOscError)
