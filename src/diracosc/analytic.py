@@ -40,13 +40,6 @@ class LevelTable:
     def e_squared_values(self, sigma=None):
         return [r.e_squared for r in self.entries if sigma is None or r.sigma == sigma]
 
-    def distinct_e_squared(self, tol=1e-9):
-        out = []
-        for r in self.entries:
-            if not out or abs(r.e_squared - out[-1]) > tol:
-                out.append(r.e_squared)
-        return out
-
 
 def _sigma_range(nmax):
     """Level indices per partner: sigma=+1 starts at 0, sigma=-1 at 1."""

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__, analytic, numerics, susy, zeromodes
 from .errors import (
     ConfigError,
-    ConstraintError,
     ConstructionFailedError,
     DiracOscError,
     SupercriticalError,
@@ -60,18 +59,20 @@ def profile_from_dict(spec):
         raise ConfigError("profile spec must be an object with a 'type' field")
     kind = spec["type"]
     if kind == "tabulated":
+        fields = ("nodes", "samples")
+    elif isinstance(kind, str) and kind in _PROFILE_TYPES:
+        cls, fields = _PROFILE_TYPES[kind]
+    else:
+        raise ConfigError(f"unknown profile type {kind!r}")
+    unknown = sorted(set(spec) - set(fields) - {"type"})
+    _require(not unknown, f"a {kind} profile does not take {', '.join(unknown)}")
+    if kind == "tabulated":
         try:
             return TabulatedProfile(np.asarray(spec["nodes"], dtype=float),
                                     np.asarray(spec["samples"], dtype=float))
         except (KeyError, ValueError) as err:
             raise ConfigError(f"bad tabulated profile: {err}") from err
-    if kind not in _PROFILE_TYPES:
-        raise ConfigError(f"unknown profile type {kind!r}")
-    cls, fields = _PROFILE_TYPES[kind]
-    kwargs = {}
-    for name in fields:
-        if name in spec:
-            kwargs[name] = spec[name]
+    kwargs = {name: spec[name] for name in fields if name in spec}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
@@ -111,7 +112,9 @@ def parse_config(doc):
     _require(isinstance(wilson_r, (int, float)) and wilson_r >= 0,
              "wilson_r must be >= 0")
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in doc.get("tolerances", {}).items():
+    given = doc.get("tolerances", {})
+    _require(isinstance(given, dict), "tolerances must be an object")
+    for key, val in given.items():
         _require(key in DEFAULT_TOLERANCES, f"unknown tolerance {key!r}")
         _require(isinstance(val, (int, float)) and val > 0,
                  f"tolerance {key!r} must be positive")
@@ -119,6 +122,8 @@ def parse_config(doc):
     model = doc.get("model")
     _require(isinstance(model, dict) and "type" in model,
              "model must be an object with a 'type' field")
+    sweep = doc.get("sweep", {})
+    _check_sweep(sweep)
     return RunConfig(
         workflow=workflow,
         model=model,
@@ -126,8 +131,26 @@ def parse_config(doc):
         wilson_r=float(wilson_r),
         tolerances=tolerances,
         output_dir=doc.get("output_dir", "."),
-        sweep=doc.get("sweep", {}),
+        sweep=sweep,
     )
+
+
+def _check_sweep(sweep):
+    """A sweep block is an object with a non-empty kappa_v_values list of
+    numbers >= 0, or an integer steps >= 2, or neither (7 steps)."""
+    _require(isinstance(sweep, dict), "sweep must be an object")
+    if "kappa_v_values" in sweep:
+        values = sweep["kappa_v_values"]
+        _require(isinstance(values, list) and values
+                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                         for v in values),
+                 "sweep.kappa_v_values must be a non-empty list of numbers")
+        _require(all(v >= 0 for v in values), "kappa_v_values must be >= 0")
+    else:
+        steps = sweep.get("steps", 7)
+        _require(isinstance(steps, int) and not isinstance(steps, bool),
+                 f"sweep.steps must be an integer, got {steps!r}")
+        _require(steps >= 2, "sweep.steps must be >= 2")
 
 
 def coupled_model_from_spec(spec):
@@ -148,15 +171,49 @@ def coupled_model_from_spec(spec):
 # ---------------------------------------------------------------------------
 # shared numeric helpers
 
-def _dirac_bound_census(model, grid, wilson_r):
-    """Bound eigenvalues of the first-order operator for a coupled model.
+def closed_form_tables(model):
+    """Every closed-form level table that applies to a coupled model.
+
+    At kappa_v = 0: Scarf II for a tanh_sech profile and Rosen-Morse II for
+    a tanh one (shifted or not). At kappa_v != 0: both electric-field
+    variants for a shift-0 tanh profile, which raise SupercriticalError at
+    or beyond the critical field. Any other model has none.
+    """
+    prof = model.profile
+    kappa = math.hypot(model.kappa_f, model.kappa_m)
+    if model.kappa_v == 0 and isinstance(prof, TanhSechProfile):
+        return [analytic.scarf2_levels(kappa * prof.a, kappa * prof.b)]
+    if model.kappa_v == 0 and isinstance(prof, TanhProfile):
+        a = kappa * prof.amplitude
+        b = kappa * kappa * prof.amplitude * prof.shift
+        return [analytic.rosen_morse2_levels(a, b)]
+    if isinstance(prof, TanhProfile) and prof.shift == 0:
+        return list(analytic.rm2_with_field_levels(
+            prof.amplitude, model.kappa_f, model.kappa_m, model.kappa_v))
+    return []
+
+
+@dataclass(frozen=True)
+class BoundCensus:
+    """Bound levels of the first-order operator, matched against tables.
+
+    `clusters` are the distinct E^2 values of `values` with their
+    multiplicities; `matches` holds one (table, per-level records,
+    unmatched clusters) triple per table, in the tables' order.
+    """
+
+    values: np.ndarray
+    edge: float
+    clusters: list
+    matches: list
+
+
+def bound_census(model, grid, wilson_r, tables, tol):
+    """Solve, cluster and match the bound spectrum of a coupled model.
 
     Only pairs inside the continuum edge can be bound, so that edge is the
     eigen-window; at a zero edge (supercritical field) nothing is solved.
-    Also reports configuration smells: the doubler branch sits at |E| of
-    order 2*wilson_r/h, and when that gap is not safely above the continuum
-    edge a doubler state can masquerade as a bound level; and a sloped
-    linear profile never saturates, so its box-end edge is no threshold.
+    E^2 values closer than max(tol, 20 h^2) share a cluster.
     """
     profiles = model.general()
     edge = numerics.dirac_continuum_edge(profiles, grid)
@@ -165,6 +222,19 @@ def _dirac_bound_census(model, grid, wilson_r):
         matrix = numerics.build_dirac(profiles, grid, wilson_r=wilson_r)
         result = numerics.eigensolve(matrix, window=(-edge, edge))
         values, _ = numerics.classify_bound(result, edge).bound()
+    clusters = _cluster_e_squared(values, max(tol, 20.0 * grid.spacing**2))
+    matches = [(table, *_match_tables(table, clusters, tol)) for table in tables]
+    return BoundCensus(values, edge, clusters, matches)
+
+
+def config_warnings(model, grid, wilson_r):
+    """Configuration smells of a census run; none depends on kappa_v.
+
+    The doubler branch sits at |E| of order 2*wilson_r/h, and when that gap
+    is not safely above the continuum edge a doubler state can masquerade as
+    a bound level; and a sloped linear profile never saturates, so its
+    box-end edge is no threshold.
+    """
     warnings = []
     ends = math.hypot(model.f(grid.half_length), model.m(grid.half_length))
     gap = 2.0 * wilson_r / grid.spacing
@@ -179,7 +249,7 @@ def _dirac_bound_census(model, grid, wilson_r):
             "the continuum edge is its box-end value and grows with "
             "grid.half_length, so it is not a scattering threshold"
         )
-    return values, edge, warnings
+    return warnings
 
 
 def _cluster_e_squared(values, tol):
@@ -193,12 +263,6 @@ def _cluster_e_squared(values, tol):
             out[-1][0] = (out[-1][0] * out[-1][1] + val) / (out[-1][1] + 1)
             out[-1][1] += 1
     return [(float(v), int(c)) for v, c in out]
-
-
-def _census_match(values, tables, tol, spacing):
-    """E^2 clusters of a bound census, and each table matched against them."""
-    clusters = _cluster_e_squared(values, max(tol, 20.0 * spacing**2))
-    return clusters, [_match_tables(table, clusters, tol) for table in tables]
 
 
 def _match_tables(table, clusters, tol):
@@ -242,19 +306,6 @@ def _match_tables(table, clusters, tol):
 # ---------------------------------------------------------------------------
 # workflows
 
-def _analytic_tables(model):
-    """Closed-form tables available for a kappa_v = 0 model's profile shape."""
-    prof = model.profile
-    kappa = math.hypot(model.kappa_f, model.kappa_m)
-    if isinstance(prof, TanhSechProfile):
-        return [analytic.scarf2_levels(kappa * prof.a, kappa * prof.b)]
-    if isinstance(prof, TanhProfile):
-        a = kappa * prof.amplitude
-        b = kappa * kappa * prof.amplitude * prof.shift
-        return [analytic.rosen_morse2_levels(a, b)]
-    return []
-
-
 def run_spectrum(config):
     model = coupled_model_from_spec(config.model)
     if not susy.is_subcritical(model.kappa_f, model.kappa_m, model.kappa_v):
@@ -264,13 +315,12 @@ def run_spectrum(config):
     _require(model.kappa_v == 0,
              "the spectrum workflow handles kappa_v = 0; use 'arbitrate' for "
              "the electric-field formula contest")
-    tables = _analytic_tables(model)
-    values, edge, warnings = _dirac_bound_census(model, config.grid, config.wilson_r)
     tol = config.tolerances["match_e2"]
-    clusters, matches = _census_match(values, tables, tol, config.grid.spacing)
+    census = bound_census(model, config.grid, config.wilson_r,
+                          closed_form_tables(model), tol)
     checks = []
     table_reports = []
-    for table, (records, unmatched) in zip(tables, matches):
+    for table, records, unmatched in census.matches:
         table_reports.append({
             "formula_id": table.formula_id,
             "metadata": table.metadata,
@@ -285,11 +335,11 @@ def run_spectrum(config):
         checks.append(_check(f"{table.formula_id}_max_e2_deviation",
                              max(devs) if devs else 0.0, tol, "le"))
     results = {
-        "continuum_edge": edge,
-        "bound_energies": [float(v) for v in values],
-        "bound_e_squared_clusters": clusters,
+        "continuum_edge": census.edge,
+        "bound_energies": [float(v) for v in census.values],
+        "bound_e_squared_clusters": census.clusters,
         "analytic_tables": table_reports,
-        "warnings": warnings,
+        "warnings": config_warnings(model, config.grid, config.wilson_r),
     }
     return results, checks, {}
 
@@ -373,26 +423,21 @@ def run_sweep(config):
     critical = susy.critical_field(model.kappa_f, model.kappa_m)
     if "kappa_v_values" in config.sweep:
         kv_values = [float(v) for v in config.sweep["kappa_v_values"]]
-        _require(all(v >= 0 for v in kv_values), "kappa_v_values must be >= 0")
     else:
-        steps = int(config.sweep.get("steps", 7))
-        _require(steps >= 2, "sweep.steps must be >= 2")
+        steps = config.sweep.get("steps", 7)
         kv_values = [1.2 * critical * i / (steps - 1) for i in range(steps)]
     rows = []
     counts = []
-    warnings = []
     for kv in kv_values:
         m = replace(model, kappa_v=kv)
-        values, edge, step_warnings = _dirac_bound_census(m, config.grid,
-                                                          config.wilson_r)
-        for w in step_warnings:
-            if w not in warnings:
-                warnings.append(w)
+        census = bound_census(m, config.grid, config.wilson_r, [],
+                              config.tolerances["match_e2"])
+        values = census.values
         order = np.argsort(np.abs(values))[:5]
         rows.append({
             "kappa_v": kv,
             "subcritical": susy.is_subcritical(m.kappa_f, m.kappa_m, kv),
-            "continuum_edge": edge,
+            "continuum_edge": census.edge,
             "bound_count": int(len(values)),
             "lowest_energies": [float(values[i]) for i in order],
         })
@@ -404,7 +449,8 @@ def run_sweep(config):
         _check("no_bound_states_beyond_critical",
                float(max(beyond) if beyond else 0), 0.5, "le"),
     ]
-    results = {"critical_field": critical, "steps": rows, "warnings": warnings}
+    results = {"critical_field": critical, "steps": rows,
+               "warnings": config_warnings(model, config.grid, config.wilson_r)}
     return results, checks, {}
 
 
@@ -414,16 +460,12 @@ def run_arbitrate(config):
     _require(isinstance(prof, TanhProfile) and prof.shift == 0,
              "arbitrate needs a pure tanh profile (shift 0)")
     _require(model.kappa_v != 0, "arbitrate needs kappa_v != 0")
-    printed, rederived = analytic.rm2_with_field_levels(
-        prof.amplitude, model.kappa_f, model.kappa_m, model.kappa_v
-    )
-    values, edge, warnings = _dirac_bound_census(model, config.grid, config.wilson_r)
     tol = config.tolerances["arbitrate"]
-    clusters, matches = _census_match(values, (printed, rederived), tol,
-                                      config.grid.spacing)
+    census = bound_census(model, config.grid, config.wilson_r,
+                          closed_form_tables(model), tol)
     verdicts = {}
     per_table = {}
-    for table, (records, unmatched) in zip((printed, rederived), matches):
+    for table, records, unmatched in census.matches:
         devs = [r["abs_deviation"] for r in records if math.isfinite(r["abs_deviation"])]
         worst = max(devs) if devs else 0.0
         agrees = all(r["matched"] for r in records) and not unmatched
@@ -434,7 +476,7 @@ def run_arbitrate(config):
             "unmatched_numeric": unmatched,
         }
         per_table[table.formula_id] = records
-    ids = [printed.formula_id, rederived.formula_id]
+    ids = list(verdicts)
     decisive = None
     for wid, lid in (ids, ids[::-1]):
         if (verdicts[wid]["agrees_within_tolerance"]
@@ -443,12 +485,12 @@ def run_arbitrate(config):
                      or verdicts[lid]["unmatched_numeric"])):
             decisive = wid
     results = {
-        "continuum_edge": edge,
-        "bound_e_squared_clusters": clusters,
+        "continuum_edge": census.edge,
+        "bound_e_squared_clusters": census.clusters,
         "levels": per_table,
         "verdicts": verdicts,
         "winner": decisive,
-        "warnings": warnings,
+        "warnings": config_warnings(model, config.grid, config.wilson_r),
     }
     checks = [_check("decisive_winner", 1.0 if decisive else 0.0, 0.5, "ge")]
     return results, checks, {}
@@ -613,13 +655,10 @@ def main(argv=None):
         code, report_path = run(config, out_dir=args.out)
         print(f"report written to {report_path}")
         return code
-    except (ConfigError, ConstraintError, json.JSONDecodeError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except SupercriticalError as err:
         print(f"error: {err} (critical field = {err.critical:g})", file=sys.stderr)
         return 1
-    except DiracOscError as err:
+    except (DiracOscError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

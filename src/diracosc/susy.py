@@ -4,7 +4,7 @@ The coupling matrix is diagonalized in closed form; each sign sigma = +/-1
 selects one partner potential wtilde^2 - sigma*wtilde'. The reduction is
 well defined only below the critical coupling sqrt(kf^2 + km^2); at or above
 it the square root turns zero or imaginary and the shifted superpotential
-degenerates, so those inputs are refused unless diagnostics are requested.
+degenerates, so those inputs are refused.
 """
 
 from dataclasses import dataclass
@@ -37,7 +37,6 @@ class ReducedProblem:
     shift: float                 # kv*E / (kf^2+km^2-kv^2)
     scale: float                 # sqrt(kf^2+km^2-kv^2)
     epsilon_coefficient: float   # eps = coeff * E^2
-    subcritical: bool
 
     def w_tilde(self, x):
         return self.scale * (self.model.profile.value(x) + self.shift)
@@ -48,9 +47,6 @@ class ReducedProblem:
     def effective_potential(self, x):
         wt = self.w_tilde(x)
         return wt * wt - self.sigma * self.w_tilde_prime(x)
-
-    def epsilon_of_energy(self, energy):
-        return self.epsilon_coefficient * energy**2
 
 
 def coupling_matrix(kf, km, kv, zero_energy_variant=False):
@@ -138,30 +134,22 @@ def spin_eigensystem(kf, km, kv, zero_energy_variant=False):
     return tuple(pairs)
 
 
-def reduce(model, sigma, energy=0.0, allow_supercritical=False):
+def reduce(model, sigma, energy=0.0):
     """Partner problem for the given sigma and energy.
 
     For kv = 0 the energy argument is inert (the shift vanishes) and
     eps = E^2 exactly. Supercritical or exactly-critical couplings raise
-    unless diagnostics are explicitly requested.
+    SupercriticalError.
     """
     kf, km, kv = model.kappa_f, model.kappa_m, model.kappa_v
     rad = kf * kf + km * km - kv * kv
-    sub = rad > 0
-    if not sub and not allow_supercritical:
+    if not rad > 0:
         raise SupercriticalError(kv, critical_field(kf, km))
-    scale = math.sqrt(rad) if sub else cmath.sqrt(complex(rad))
-    if kv == 0 or energy == 0:
-        shift = 0.0
-    else:
-        shift = kv * energy / rad if rad != 0 else math.inf
-    coeff = (kf * kf + km * km) / rad if rad != 0 else math.inf
     return ReducedProblem(
         sigma=sigma,
         model=model,
         energy=energy,
-        shift=shift,
-        scale=scale,
-        epsilon_coefficient=coeff,
-        subcritical=sub,
+        shift=0.0 if kv == 0 or energy == 0 else kv * energy / rad,
+        scale=math.sqrt(rad),
+        epsilon_coefficient=(kf * kf + km * km) / rad,
     )

@@ -151,7 +151,7 @@ def test_field_variants_disagree_with_field():
     assert rederived.e_squared_values() == pytest.approx([0.0], abs=1e-14)
     assert {e["n"] for e in rederived.metadata["excluded"]} == {1}
     # the transcribed formula keeps a level near 1.37 that no state realizes
-    printed_e2 = printed.distinct_e_squared()
+    printed_e2 = printed.e_squared_values(sigma=+1)
     assert printed_e2[0] == pytest.approx(0.0, abs=1e-14)
     assert printed_e2[1] == pytest.approx((8 - (2 * math.sqrt(2) - 1) ** 2)
                                           / (1 + 8 / (2 * math.sqrt(2) - 1) ** 2))

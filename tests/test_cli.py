@@ -4,13 +4,16 @@ import csv
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diracosc import analytic, numerics
 from diracosc.cli import (
-    _dirac_bound_census,
+    bound_census,
+    closed_form_tables,
+    config_warnings,
     main,
     parse_config,
     profile_from_dict,
@@ -67,6 +70,67 @@ def test_profile_round_trip():
         profile_from_dict({"type": "nope"})
     with pytest.raises(ConfigError):
         profile_from_dict({"type": "tanh_power", "exponent": 2})
+
+
+@pytest.mark.parametrize("spec, unknown", [
+    ({"type": "tanh", "amplitude": 0.8, "shfit": 0.5}, "shfit"),
+    ({"type": "linear", "slope": 1.0, "amplitude": 2.0, "a": 1.0}, "a, amplitude"),
+    ({"type": "tabulated", "nodes": [0.0, 1.0], "samples": [0.0, 1.0],
+      "shift": 0.5}, "shift"),
+], ids=["tanh", "linear", "tabulated"])
+def test_profile_rejects_keys_its_type_does_not_take(tmp_path, capsys, spec, unknown):
+    # a misspelled shift would otherwise run at shift 0, the wrong physics
+    kind = spec["type"]
+    with pytest.raises(ConfigError, match=f"^a {kind} profile does not take {unknown}$"):
+        profile_from_dict(spec)
+    model = {"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
+             "profile": spec}
+    doc = base_config(model=model, output_dir=str(tmp_path))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: a {kind} profile does not take {unknown}\n"
+    assert not (tmp_path / "spectrum_report.json").exists()
+
+
+@pytest.mark.parametrize("model, tables", [
+    ({"kappa_v": 0.0, "profile": TanhProfile(0.8)}, ["rosen_morse2"]),
+    ({"kappa_v": 0.0, "profile": TanhProfile(0.8, shift=0.5)}, ["rosen_morse2"]),
+    ({"kappa_v": 0.0, "profile": TanhSechProfile(1.0, 0.5)}, ["scarf2"]),
+    ({"kappa_v": 2.0, "profile": TanhProfile(1.0)},
+     ["rm2_field_printed", "rm2_field_rederived"]),
+    ({"kappa_v": 2.0, "profile": TanhProfile(1.0, shift=0.5)}, []),
+    ({"kappa_v": 2.0, "profile": TanhSechProfile(1.0, 0.5)}, []),
+    ({"kappa_v": 0.0, "profile": LinearProfile(1.0)}, []),
+    ({"kappa_v": 2.0, "profile": LinearProfile(1.0)}, []),
+    ({"kappa_v": 0.0, "profile": TanhPowerProfile(3)}, []),
+], ids=["tanh", "shifted-tanh", "tanh_sech", "tanh-field", "shifted-tanh-field",
+        "tanh_sech-field", "linear", "linear-field", "tanh_power"])
+def test_closed_form_tables_lookup(model, tables):
+    found = closed_form_tables(CoupledModel(3.0, 4.0, **model))
+    assert [table.formula_id for table in found] == tables
+
+
+def test_config_warnings_are_one_list_per_run(tmp_path):
+    # r = 0.05 at N = 201: the doubler gap 2r/h = 0.5 is far below 1.5 times
+    # the box-end scale sqrt(2) * 2 at every kappa_v, so each census workflow
+    # reports that one warning once, a sweep over four fields included
+    grid = Grid(20.0, 201)
+    model = CoupledModel(1.0, 1.0, 0.0, TanhProfile(2.0))
+    (warning,) = config_warnings(model, grid, 0.05)
+    assert "doubler gap 2r/h = 0.5 " in warning
+    for kv in (0.5, 1.0, 2.0):
+        assert config_warnings(replace(model, kappa_v=kv), grid, 0.05) == [warning]
+    spec = {"type": "coupled", "kappa_f": 1.0, "kappa_m": 1.0,
+            "profile": {"type": "tanh", "amplitude": 2.0, "shift": 0.0}}
+    for workflow, kv, extra in (
+            ("spectrum", 0.0, {}),
+            ("arbitrate", 1.0, {}),
+            ("sweep", 0.0, {"sweep": {"kappa_v_values": [0.0, 0.5, 1.0, 2.0]}})):
+        doc = base_config(workflow=workflow, model={**spec, "kappa_v": kv},
+                          wilson_r=0.05, grid={"half_length": 20.0, "n_points": 201},
+                          **extra)
+        _, report_path = run(parse_config(doc), out_dir=str(tmp_path / workflow))
+        with open(report_path) as handle:
+            assert json.load(handle)["results"]["warnings"] == [warning], workflow
 
 
 def test_parse_config_validation():
@@ -328,8 +392,9 @@ def test_readme_model_census_at_n8001():
     assert levels == pytest.approx([0.0, 7.0, 12.0, 15.0])
 
     def census(n_points):
-        values, _, warnings = _dirac_bound_census(model, Grid(20.0, n_points), 1.0)
-        assert warnings == []
+        grid = Grid(20.0, n_points)
+        assert config_warnings(model, grid, 1.0) == []
+        values = bound_census(model, grid, 1.0, [], 1e-3).values
         e2 = values**2
         nearest = np.argmin(np.abs(e2[:, None] - levels), axis=1)
         worst = [np.max(np.abs(e2[nearest == k] - levels[k])) if np.any(nearest == k)
@@ -367,7 +432,7 @@ def test_non_saturating_edge_warning(tmp_path):
     for profile in (TanhProfile(1.0), TanhPowerProfile(3), TanhSechProfile(1.0, 0.5),
                     StepProfile(1.0, 1.0), tanh_table, LinearProfile(0.0, 1.0)):
         model = CoupledModel(3.0, 4.0, 0.0, profile)
-        assert _dirac_bound_census(model, grid, 1.0)[2] == [], profile
+        assert config_warnings(model, grid, 1.0) == [], profile
 
     linear = {"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
               "profile": {"type": "linear", "slope": 0.05}}
@@ -455,6 +520,34 @@ def test_zeromode_step_flags_must_be_booleans(tmp_path, capsys, model, message):
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "wavefunction.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"sweep": 5}, "sweep must be an object"),
+    ({"sweep": {"kappa_v_values": 3.0}},
+     "sweep.kappa_v_values must be a non-empty list of numbers"),
+    ({"sweep": {"kappa_v_values": ["a"]}},
+     "sweep.kappa_v_values must be a non-empty list of numbers"),
+    ({"sweep": {"kappa_v_values": [0.0, True]}},
+     "sweep.kappa_v_values must be a non-empty list of numbers"),
+    ({"sweep": {"kappa_v_values": []}},
+     "sweep.kappa_v_values must be a non-empty list of numbers"),
+    ({"sweep": {"steps": 2.5}}, "sweep.steps must be an integer, got 2.5"),
+    ({"sweep": {"steps": "7"}}, "sweep.steps must be an integer, got '7'"),
+    ({"sweep": {"steps": True}}, "sweep.steps must be an integer, got True"),
+    ({"tolerances": [1]}, "tolerances must be an object"),
+], ids=["sweep-number", "values-number", "values-string", "values-bool",
+        "values-empty", "steps-float", "steps-string", "steps-bool", "tolerances-list"])
+def test_sweep_and_tolerance_blocks_must_be_well_formed(tmp_path, capsys, overrides,
+                                                        message):
+    # unchecked, each of these ends in a traceback, runs a sweep that checks
+    # nothing, or runs fewer steps than asked for
+    doc = base_config(workflow="sweep", grid={"half_length": 20.0, "n_points": 201},
+                      output_dir=str(tmp_path))
+    doc.update(overrides)
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "sweep_report.json").exists()
 
 
 @pytest.mark.parametrize("n", [1.9, True, "1"])

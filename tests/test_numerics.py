@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracosc import kernels
-from diracosc.cli import _dirac_bound_census
+from diracosc.cli import bound_census
 from diracosc.errors import BoxStateError, DiracOscError, ZeroOutputError
 from diracosc.model import (
     CoupledModel,
@@ -308,8 +308,8 @@ def test_bound_count_does_not_increase_with_field(n_points, kappa_v):
     # the AC-5 model: a stronger electric coupling never binds more states
     grid = Grid(20.0, n_points)
     counts = [
-        len(_dirac_bound_census(CoupledModel(3.0, 4.0, kv, TanhProfile(1.0)),
-                                grid, 1.0)[0])
+        len(bound_census(CoupledModel(3.0, 4.0, kv, TanhProfile(1.0)),
+                         grid, 1.0, [], 1e-3).values)
         for kv in sorted(kappa_v)
     ]
     assert counts == sorted(counts, reverse=True)

@@ -16,7 +16,8 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@pytest.mark.parametrize("workload", ["dirac-window", "critical-sweep", "partner"])
+@pytest.mark.parametrize("workload",
+                         ["dirac-window", "critical-sweep", "partner", "zeromode-io"])
 def test_benchmark_run_ends_with_result_line(tmp_path, workload):
     # a copy of the harness next to a link to src/, so its work directory
     # lands in tmp_path and not in the repository

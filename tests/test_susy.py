@@ -149,7 +149,6 @@ def test_reduce_field_free():
     x = np.linspace(-3, 3, 7)
     assert np.allclose(red.w_tilde(x), 5 * np.tanh(x), atol=1e-14)
     assert red.epsilon_coefficient == pytest.approx(1.0)
-    assert red.epsilon_of_energy(0.7) == pytest.approx(0.49)
     # energy cannot leak into the potential when kappa_v = 0
     red2 = reduce(model, +1, energy=-2.0)
     assert np.allclose(red.effective_potential(x), red2.effective_potential(x))
@@ -168,9 +167,6 @@ def test_reduce_refuses_supercritical_without_diagnostics():
     with pytest.raises(SupercriticalError) as err:
         reduce(model, +1)
     assert err.value.critical == pytest.approx(math.sqrt(2))
-    diag = reduce(model, +1, energy=0.5, allow_supercritical=True)
-    assert not diag.subcritical
-    assert np.iscomplexobj(np.asarray(diag.w_tilde(0.3)))
 
 
 def test_reduce_refuses_exactly_critical():
