@@ -45,49 +45,54 @@ DEFAULT_TOLERANCES = {
 RESIDUAL_TOL = {"quadrature": 1e-6, "interface_matching": 1e-4}
 NORM_TOL = 1e-8                # h-weighted norm deviation from 1
 
-_PROFILE_TYPES = {
-    "linear": (LinearProfile, ("slope", "offset")),
-    "tanh": (TanhProfile, ("amplitude", "shift")),
-    "tanh_power": (TanhPowerProfile, ("exponent", "shift")),
-    "tanh_sech": (TanhSechProfile, ("a", "b")),
-    "step": (StepProfile, ("value_plus", "value_minus")),
+# The config format: every key a block takes and the JSON kind of its value.
+# A kind ending in "?" marks a key that may be left out. Model and profile
+# blocks also take "type", which picks their table.
+CONFIG_KEYS = {
+    "config": {"schema": "integer", "workflow": "string", "model": "object",
+               "grid": "object", "wilson_r": "number?", "tolerances": "object?",
+               "sweep": "object?", "output_dir": "string?"},
+    "grid": {"half_length": "number", "n_points": "integer"},
+    "tolerances": {key: "number?" for key in DEFAULT_TOLERANCES},
+    "sweep": {"kappa_v_values": "number list?", "steps": "integer?"},
+    "model": {
+        "coupled": {"kappa_f": "number", "kappa_m": "number", "kappa_v": "number",
+                    "profile": "object"},
+        "step": {"f_plus": "number", "f_minus": "number", "m_plus": "number",
+                 "m_minus": "number", "energy": "number?", "flip_f": "boolean?",
+                 "flip_m": "boolean?"},
+        "transformed_potential": {"lambda": "number", "n": "integer"},
+    },
+    "profile": {
+        "linear": {"slope": "number", "offset": "number?"},
+        "tanh": {"amplitude": "number", "shift": "number?"},
+        "tanh_power": {"exponent": "integer", "shift": "number?"},
+        "tanh_sech": {"a": "number", "b": "number"},
+        "step": {"value_plus": "number", "value_minus": "number"},
+        "tabulated": {"nodes": "number list", "samples": "number list"},
+    },
 }
 
 
-def profile_from_dict(spec):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("profile spec must be an object with a 'type' field")
-    kind = spec["type"]
-    if kind == "tabulated":
-        fields = ("nodes", "samples")
-    elif isinstance(kind, str) and kind in _PROFILE_TYPES:
-        cls, fields = _PROFILE_TYPES[kind]
-    else:
-        raise ConfigError(f"unknown profile type {kind!r}")
-    unknown = sorted(set(spec) - set(fields) - {"type"})
-    _require(not unknown, f"a {kind} profile does not take {', '.join(unknown)}")
-    if kind == "tabulated":
-        try:
-            return TabulatedProfile(np.asarray(spec["nodes"], dtype=float),
-                                    np.asarray(spec["samples"], dtype=float))
-        except (KeyError, ValueError) as err:
-            raise ConfigError(f"bad tabulated profile: {err}") from err
-    kwargs = {name: spec[name] for name in fields if name in spec}
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad {kind} profile: {err}") from err
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    workflow: str
-    model: dict                # raw model spec; interpreted per workflow
-    grid: Grid
-    wilson_r: float
-    tolerances: dict
-    output_dir: str
-    sweep: dict
+# kind -> (test, what the value must be; "{!r}" shows the value given)
+_KINDS = {
+    "number": (_is_number, "a number, got {!r}"),
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool),
+                "an integer, got {!r}"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false, got {!r}"),
+    "string": (lambda v: isinstance(v, str), "a string, got {!r}"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "number list": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+                    "a non-empty list of numbers"),
+}
+
+_PROFILE_CLASSES = {"linear": LinearProfile, "tanh": TanhProfile,
+                    "tanh_power": TanhPowerProfile, "tanh_sech": TanhSechProfile,
+                    "step": StepProfile, "tabulated": TabulatedProfile}
 
 
 def _require(cond, msg):
@@ -95,77 +100,119 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _check_block(block, path, name, keys):
+    """Refuse a key not in `keys`, a required key left out and a value of
+    the wrong kind. Messages call the block `name` and a key `path + key`."""
+    unknown = sorted(set(block) - set(keys))
+    _require(not unknown, f"{name} does not take {', '.join(unknown)}")
+    for key, kind in keys.items():
+        if key in block or not kind.endswith("?"):
+            test, wanted = _KINDS[kind.rstrip("?")]
+            value = block.get(key)
+            _require(test(value), f"{path}{key} must be " + wanted.format(value))
+
+
+def _typed_block(spec, path, family):
+    """Check a model or profile block against the table its type picks."""
+    _require(isinstance(spec, dict), f"{path} must be an object")
+    kind = spec.get("type")
+    _require(isinstance(kind, str) and kind in CONFIG_KEYS[family],
+             f"unknown {family} type {kind!r}")
+    values = {key: val for key, val in spec.items() if key != "type"}
+    _check_block(values, f"{path}.", f"a {kind} {family}", CONFIG_KEYS[family][kind])
+    return kind, values
+
+
+def profile_from_dict(spec, path="profile"):
+    kind, values = _typed_block(spec, path, "profile")
+    try:
+        return _PROFILE_CLASSES[kind](**values)
+    except ValueError as err:
+        raise ConfigError(f"bad {kind} profile: {err}") from err
+
+
+@dataclass(frozen=True)
+class StepModel:
+    """A step-profile zero-mode model: its matching problem and sign flips."""
+
+    problem: zeromodes.StepMatchProblem
+    flip_f: bool = False
+    flip_m: bool = False
+
+
+def _model_from_dict(spec):
+    """A CoupledModel, StepModel or valid TransformedPotentialParameters."""
+    kind, values = _typed_block(spec, "model", "model")
+    if kind == "transformed_potential":
+        params = analytic.transformed_potential_parameters(float(values["lambda"]),
+                                                           values["n"])
+        _require(params.valid, f"transformed parameters rejected: {params.reason}")
+        return params
+    try:
+        if kind == "step":
+            flips = {key: values.pop(key) for key in ("flip_f", "flip_m") if key in values}
+            problem = zeromodes.StepMatchProblem(
+                **{key: float(val) for key, val in values.items()})
+            return StepModel(problem, **flips)
+        return CoupledModel(float(values["kappa_f"]), float(values["kappa_m"]),
+                            float(values["kappa_v"]),
+                            profile_from_dict(values["profile"], "model.profile"))
+    except ValueError as err:
+        raise ConfigError(f"bad {kind} model: {err}") from err
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    workflow: str
+    model: object              # CoupledModel, StepModel or TransformedPotentialParameters
+    grid: Grid
+    wilson_r: float
+    tolerances: dict
+    output_dir: str
+    sweep_fields: tuple        # the kappa_v values a sweep visits
+    model_spec: dict           # the model block as given, echoed in the report
+
+
 def parse_config(doc):
-    """Validate a config document (already JSON-decoded) into a RunConfig."""
+    """Check a config document (already JSON-decoded) against CONFIG_KEYS
+    and build its typed values into a RunConfig."""
     _require(isinstance(doc, dict), "config must be a JSON object")
-    _require(doc.get("schema") == 1, "config schema must be 1")
-    workflow = doc.get("workflow")
+    _check_block(doc, "", "the config", CONFIG_KEYS["config"])
+    _require(doc["schema"] == 1, "config schema must be 1")
+    workflow = doc["workflow"]
     _require(workflow in WORKFLOWS, f"workflow must be one of {WORKFLOWS}")
-    grid_spec = doc.get("grid")
-    _require(isinstance(grid_spec, dict), "grid must be an object")
-    L = grid_spec.get("half_length")
-    N = grid_spec.get("n_points")
-    _require(isinstance(L, (int, float)) and L > 0, "grid.half_length must be > 0")
-    _require(isinstance(N, int) and N >= 3 and N % 2 == 1,
-             "grid.n_points must be an odd integer >= 3")
+    _check_block(doc["grid"], "grid.", "grid", CONFIG_KEYS["grid"])
+    L, N = doc["grid"]["half_length"], doc["grid"]["n_points"]
+    _require(L > 0, "grid.half_length must be > 0")
+    _require(N >= 3 and N % 2 == 1, "grid.n_points must be an odd integer >= 3")
     wilson_r = doc.get("wilson_r", 1.0)
-    _require(isinstance(wilson_r, (int, float)) and wilson_r >= 0,
-             "wilson_r must be >= 0")
-    tolerances = dict(DEFAULT_TOLERANCES)
+    _require(wilson_r >= 0, "wilson_r must be >= 0")
     given = doc.get("tolerances", {})
-    _require(isinstance(given, dict), "tolerances must be an object")
+    _check_block(given, "tolerances.", "tolerances", CONFIG_KEYS["tolerances"])
     for key, val in given.items():
-        _require(key in DEFAULT_TOLERANCES, f"unknown tolerance {key!r}")
-        _require(isinstance(val, (int, float)) and val > 0,
-                 f"tolerance {key!r} must be positive")
-        tolerances[key] = float(val)
-    model = doc.get("model")
-    _require(isinstance(model, dict) and "type" in model,
-             "model must be an object with a 'type' field")
+        _require(val > 0, f"tolerances.{key} must be positive")
     sweep = doc.get("sweep", {})
-    _check_sweep(sweep)
+    _check_block(sweep, "sweep.", "sweep", CONFIG_KEYS["sweep"])
+    fields = tuple(float(v) for v in sweep.get("kappa_v_values", ()))
+    _require(all(v >= 0 for v in fields), "kappa_v_values must be >= 0")
+    steps = sweep.get("steps", 7)
+    _require(steps >= 2, "sweep.steps must be >= 2")
+    model = _model_from_dict(doc["model"])
+    _require(workflow == "zeromode" or isinstance(model, CoupledModel),
+             f"the {workflow} workflow needs a coupled model")
+    if workflow == "sweep" and not fields:
+        critical = susy.critical_field(model.kappa_f, model.kappa_m)
+        fields = tuple(1.2 * critical * i / (steps - 1) for i in range(steps))
     return RunConfig(
         workflow=workflow,
         model=model,
-        grid=Grid(float(L), int(N)),
+        grid=Grid(float(L), N),
         wilson_r=float(wilson_r),
-        tolerances=tolerances,
+        tolerances={**DEFAULT_TOLERANCES, **{k: float(v) for k, v in given.items()}},
         output_dir=doc.get("output_dir", "."),
-        sweep=sweep,
+        sweep_fields=fields,
+        model_spec=doc["model"],
     )
-
-
-def _check_sweep(sweep):
-    """A sweep block is an object with a non-empty kappa_v_values list of
-    numbers >= 0, or an integer steps >= 2, or neither (7 steps)."""
-    _require(isinstance(sweep, dict), "sweep must be an object")
-    if "kappa_v_values" in sweep:
-        values = sweep["kappa_v_values"]
-        _require(isinstance(values, list) and values
-                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                         for v in values),
-                 "sweep.kappa_v_values must be a non-empty list of numbers")
-        _require(all(v >= 0 for v in values), "kappa_v_values must be >= 0")
-    else:
-        steps = sweep.get("steps", 7)
-        _require(isinstance(steps, int) and not isinstance(steps, bool),
-                 f"sweep.steps must be an integer, got {steps!r}")
-        _require(steps >= 2, "sweep.steps must be >= 2")
-
-
-def coupled_model_from_spec(spec):
-    _require(spec.get("type") == "coupled", "this workflow needs a coupled model")
-    for key in ("kappa_f", "kappa_m", "kappa_v"):
-        _require(isinstance(spec.get(key), (int, float)), f"model.{key} must be a number")
-    try:
-        return CoupledModel(
-            kappa_f=float(spec["kappa_f"]),
-            kappa_m=float(spec["kappa_m"]),
-            kappa_v=float(spec["kappa_v"]),
-            profile=profile_from_dict(spec.get("profile", {})),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +354,7 @@ def _match_tables(table, clusters, tol):
 # workflows
 
 def run_spectrum(config):
-    model = coupled_model_from_spec(config.model)
+    model = config.model
     if not susy.is_subcritical(model.kappa_f, model.kappa_m, model.kappa_v):
         raise SupercriticalError(
             model.kappa_v, susy.critical_field(model.kappa_f, model.kappa_m)
@@ -345,24 +392,12 @@ def run_spectrum(config):
 
 
 def run_zeromode(config):
-    kind = config.model.get("type")
-    grid = config.grid
+    model, grid = config.model, config.grid
     artifacts = {}
     checks = []
-    if kind == "transformed_potential":
-        n = config.model.get("n")
-        _require(isinstance(n, int) and not isinstance(n, bool),
-                 f"model.n must be an integer, got {n!r}")
+    if isinstance(model, analytic.TransformedPotentialParameters):
         try:
-            params = analytic.transformed_potential_parameters(
-                float(config.model["lambda"]), n
-            )
-        except (KeyError, ValueError) as err:
-            raise ConfigError(f"bad transformed model: {err}") from err
-        if not params.valid:
-            raise ConfigError(f"transformed parameters rejected: {params.reason}")
-        try:
-            zeromodes.zero_mode_transformed(params, grid)
+            zeromodes.zero_mode_transformed(model, grid)
         except ConstructionFailedError as err:   # always: no zero mode exists
             results = {
                 "mechanism": "transformed_potential",
@@ -371,26 +406,12 @@ def run_zeromode(config):
             }
             checks.append(_check("construction_succeeded", 0.0, 0.5, "ge"))
             return results, checks, artifacts
-    if kind == "coupled":
-        model = coupled_model_from_spec(config.model)
+    if isinstance(model, CoupledModel):
         mode = zeromodes.zero_mode_quadrature(model, grid)
-    elif kind == "step":
+    else:   # a StepModel
         try:
-            problem = zeromodes.StepMatchProblem(
-                f_plus=float(config.model["f_plus"]),
-                f_minus=float(config.model["f_minus"]),
-                m_plus=float(config.model["m_plus"]),
-                m_minus=float(config.model["m_minus"]),
-                energy=float(config.model.get("energy", 0.0)),
-            )
-        except (KeyError, ValueError) as err:
-            raise ConfigError(f"bad step model: {err}") from err
-        flips = {key: config.model.get(key, False) for key in ("flip_f", "flip_m")}
-        for key, flip in flips.items():
-            _require(isinstance(flip, bool),
-                     f"model.{key} must be true or false, got {flip!r}")
-        try:
-            mode = zeromodes.step_match(problem, grid, **flips)
+            mode = zeromodes.step_match(model.problem, grid,
+                                        flip_f=model.flip_f, flip_m=model.flip_m)
         except ValueError as err:   # energy outside the decaying window
             raise ConfigError(str(err)) from err
         if mode is None:
@@ -398,8 +419,6 @@ def run_zeromode(config):
                        "note": "interface condition has no solution at this energy"}
             checks.append(_check("interface_matched", 0.0, 0.5, "ge"))
             return results, checks, artifacts
-    else:
-        raise ConfigError(f"zeromode model type must be coupled|step|transformed, got {kind!r}")
 
     results = {
         "mechanism": mode.mechanism,
@@ -419,16 +438,11 @@ def run_zeromode(config):
 
 
 def run_sweep(config):
-    model = coupled_model_from_spec(config.model)
+    model = config.model
     critical = susy.critical_field(model.kappa_f, model.kappa_m)
-    if "kappa_v_values" in config.sweep:
-        kv_values = [float(v) for v in config.sweep["kappa_v_values"]]
-    else:
-        steps = config.sweep.get("steps", 7)
-        kv_values = [1.2 * critical * i / (steps - 1) for i in range(steps)]
     rows = []
     counts = []
-    for kv in kv_values:
+    for kv in config.sweep_fields:
         m = replace(model, kappa_v=kv)
         census = bound_census(m, config.grid, config.wilson_r, [],
                               config.tolerances["match_e2"])
@@ -443,7 +457,7 @@ def run_sweep(config):
         })
         counts.append(len(values))
     non_increasing = all(counts[i] >= counts[i + 1] for i in range(len(counts) - 1))
-    beyond = [c for kv, c in zip(kv_values, counts) if kv >= critical - 1e-12]
+    beyond = [c for kv, c in zip(config.sweep_fields, counts) if kv >= critical - 1e-12]
     checks = [
         _check("bound_count_non_increasing", 1.0 if non_increasing else 0.0, 0.5, "ge"),
         _check("no_bound_states_beyond_critical",
@@ -455,7 +469,7 @@ def run_sweep(config):
 
 
 def run_arbitrate(config):
-    model = coupled_model_from_spec(config.model)
+    model = config.model
     prof = model.profile
     _require(isinstance(prof, TanhProfile) and prof.shift == 0,
              "arbitrate needs a pure tanh profile (shift 0)")
@@ -543,7 +557,7 @@ def build_report(config, results, checks):
         "tool": {"name": "diracosc", "version": __version__},
         "workflow": config.workflow,
         "config": {
-            "model": config.model,
+            "model": config.model_spec,
             "grid": {"half_length": config.grid.half_length,
                      "n_points": config.grid.n_points,
                      "spacing": config.grid.spacing},
@@ -580,11 +594,15 @@ def write_wavefunction_csv(path, psi):
 
 
 def run(config, out_dir=None):
-    """Execute one workflow; returns (exit_code, report_path)."""
-    out = out_dir or config.output_dir
-    os.makedirs(out, exist_ok=True)
+    """Execute one workflow; returns (exit_code, report_path).
+
+    The output directory is made once the workflow has its results, so an
+    input error the workflow raises leaves nothing behind.
+    """
     results, checks, artifacts = _WORKFLOW_RUNNERS[config.workflow](config)
     report = build_report(config, results, checks)
+    out = out_dir or config.output_dir
+    os.makedirs(out, exist_ok=True)
     for name, psi in artifacts.items():
         write_wavefunction_csv(os.path.join(out, name), psi)
     report_path = os.path.join(out, f"{config.workflow}_report.json")
@@ -600,9 +618,12 @@ def recheck(report_path):
         report = json.load(handle)
     _require(isinstance(report, dict) and report.get("schema") == 1,
              "report schema must be 1")
+    # every workflow writes at least one check
+    checks = report.get("checks")
+    _require(isinstance(checks, list) and checks, "report checks must be a non-empty list")
     mismatches = 0
     all_passed = True
-    for check in report.get("checks", []):
+    for check in checks:
         _require(isinstance(check, dict), "each check must be an object")
         passed = _verdict(check)
         all_passed &= passed

@@ -11,6 +11,7 @@ import pytest
 
 from diracosc import analytic, numerics
 from diracosc.cli import (
+    StepModel,
     bound_census,
     closed_form_tables,
     config_warnings,
@@ -149,6 +150,80 @@ def test_parse_config_validation():
     ):
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+
+STEP_MODEL = {"type": "step", "f_plus": 3.0, "f_minus": 3.0, "m_plus": 4.0,
+              "m_minus": 4.0}
+
+
+def test_parse_config_builds_typed_values():
+    config = parse_config(base_config(workflow="sweep"))
+    assert config.model == CoupledModel(3.0, 4.0, 0.0, TanhProfile(0.8, 0.0))
+    assert config.model_spec == base_config()["model"]
+    assert config.grid == Grid(20.0, 1201)
+    assert config.tolerances == {"match_e2": 5e-2, "arbitrate": 5e-3}
+    # seven fields from 0 to 1.2 times the critical field 5
+    assert config.sweep_fields == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    listed = parse_config(base_config(workflow="sweep",
+                                      sweep={"kappa_v_values": [0, 2.5]}))
+    assert listed.sweep_fields == (0.0, 2.5)
+    step = parse_config(base_config(workflow="zeromode",
+                                    model={**STEP_MODEL, "energy": 0.5, "flip_m": True}))
+    assert step.model == StepModel(StepMatchProblem(3.0, 3.0, 4.0, 4.0, energy=0.5),
+                                   flip_m=True)
+    transformed = parse_config(base_config(
+        workflow="zeromode", model={"type": "transformed_potential", "lambda": 3, "n": 1}))
+    assert transformed.model == analytic.transformed_potential_parameters(3.0, 1)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"tolerance": {"match_e2": 5e-2}}, "the config does not take tolerance"),
+    ({"model": {**base_config()["model"], "kapa_v": 1.0}},
+     "a coupled model does not take kapa_v"),
+    ({"workflow": "zeromode", "model": {**STEP_MODEL, "enrgy": 0.5}},
+     "a step model does not take enrgy"),
+    ({"sweep": {"kappa_v_value": [0.0, 2.0]}}, "sweep does not take kappa_v_value"),
+    ({"model": {**base_config()["model"], "kappa_f": True}},
+     "model.kappa_f must be a number, got True"),
+    ({"grid": {"half_length": True, "n_points": 201}},
+     "grid.half_length must be a number, got True"),
+    ({"schema": True}, "schema must be an integer, got True"),
+    ({"workflow": "zeromode",
+      "model": {"type": "transformed_potential", "lambda": True, "n": 1}},
+     "model.lambda must be a number, got True"),
+    ({"tolerances": {"match_e2": True}}, "tolerances.match_e2 must be a number, got True"),
+    ({"wilson_r": True}, "wilson_r must be a number, got True"),
+    ({"workflow": "zeromode", "model": {**STEP_MODEL, "f_plus": "3"}},
+     "model.f_plus must be a number, got '3'"),
+    ({"model": {**base_config()["model"],
+                "profile": {"type": "tanh", "amplitude": "0.8"}}},
+     "model.profile.amplitude must be a number, got '0.8'"),
+    ({"output_dir": 5}, "output_dir must be a string, got 5"),
+    ({"workflow": "zeromode",
+      "model": {**base_config()["model"],
+                "profile": {"type": "tanh_power", "exponent": 3.5}}},
+     "model.profile.exponent must be an integer, got 3.5"),
+    ({"model": {**base_config()["model"], "profile": {"type": "nope"}}},
+     "unknown profile type 'nope'"),
+    ({"model": STEP_MODEL}, "the spectrum workflow needs a coupled model"),
+    ({"model": {**base_config()["model"], "kappa_v": 1.0}},
+     "the spectrum workflow handles kappa_v = 0; use 'arbitrate' for the "
+     "electric-field formula contest"),
+    ({"workflow": "zeromode", "model": {**STEP_MODEL, "energy": 10.0}},
+     "need E^2 < f^2 + m^2 on both sides for decaying solutions"),
+], ids=["tolerance-typo", "kapa_v", "enrgy", "kappa_v_value", "kappa_f-true",
+        "half_length-true", "schema-true", "lambda-true", "match_e2-true", "wilson_r-true",
+        "f_plus-string", "amplitude-string", "output_dir-number", "exponent-float",
+        "profile-type", "step-spectrum", "spectrum-field", "energy-window"])
+def test_refused_config_writes_nothing(tmp_path, capsys, overrides, message):
+    # each of these used to run anyway, end in a traceback, stop with a wrong
+    # message, or stop only after the output directory had been made
+    out = tmp_path / "out"
+    doc = base_config(grid={"half_length": 5.0, "n_points": 201}, output_dir=str(out))
+    doc.update(overrides)
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_spectrum_workflow_passes(tmp_path):
@@ -590,6 +665,9 @@ def test_recheck_rejects_malformed_check(tmp_path, capsys, broken, message):
 @pytest.mark.parametrize("doc, message", [
     ([], "report schema must be 1"),
     ({"schema": 1, "checks": [1.0]}, "each check must be an object"),
+    ({"schema": 1, "checks": 5}, "report checks must be a non-empty list"),
+    ({"schema": 1}, "report checks must be a non-empty list"),
+    ({"schema": 1, "checks": []}, "report checks must be a non-empty list"),
 ])
 def test_recheck_rejects_malformed_report(tmp_path, capsys, doc, message):
     path = tmp_path / "report.json"
