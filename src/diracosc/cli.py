@@ -74,15 +74,25 @@ CONFIG_KEYS = {
 }
 
 
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float that a float can hold; booleans are not numbers."""
+    if not (_is_integer(value) or isinstance(value, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:      # an integer beyond the float range, about 1.8e308
+        return False
+    return True
 
 
 # kind -> (test, what the value must be; "{!r}" shows the value given)
 _KINDS = {
     "number": (_is_number, "a number, got {!r}"),
-    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool),
-                "an integer, got {!r}"),
+    "integer": (_is_integer, "an integer, got {!r}"),
     "boolean": (lambda v: isinstance(v, bool), "true or false, got {!r}"),
     "string": (lambda v: isinstance(v, str), "a string, got {!r}"),
     "object": (lambda v: isinstance(v, dict), "an object"),
@@ -526,8 +536,7 @@ def _verdict(check):
     value, tolerance, op = (check.get(key) for key in ("value", "tolerance", "op"))
     name = check.get("name")
     _require(op in ("le", "ge"), f"check {name!r}: op must be 'le' or 'ge', got {op!r}")
-    _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                 for x in (value, tolerance)),
+    _require(_is_number(value) and _is_number(tolerance),
              f"check {name!r}: value and tolerance must be numbers")
     return bool(value <= tolerance if op == "le" else value >= tolerance)
 
@@ -572,25 +581,107 @@ def build_report(config, results, checks):
 
 
 CSV_BLOCK_ROWS = 64            # rows formatted and written per write call
+CSV_SPLIT_ROWS = 8_000         # from this many rows a forked child formats half
+CSV_PIPE_BYTES = 1 << 16       # bytes copied from the child's pipe per read
+
+
+def _csv_blocks(table, start, stop):
+    """The CSV bytes of rows [start, stop) of `table`, one block at a time."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    for lo in range(start, stop, CSV_BLOCK_ROWS):
+        block = table[lo:min(lo + CSV_BLOCK_ROWS, stop)]
+        yield (row * len(block) % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def _fork_formatter(table, start):
+    """Fork a child that formats rows [start, end) of `table` into memory,
+    sends them through a pipe and exits; (pid, read end of the pipe), or
+    None when no pipe or process can be had.
+
+    The child buffers its whole half before it sends: one that wrote as it
+    went would stall on the full pipe until the parent had done its own half.
+    It never returns into the caller, so it runs no atexit handler and
+    flushes no buffer it inherited, such as the caller's stdout or file.
+    """
+    import warnings            # loaded at interpreter start-up: no import cost
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns that fork in a process with threads (OpenBLAS
+            # starts some) may deadlock the child. This child calls no BLAS: it
+            # runs only string formatting, os.write and os._exit.
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            view = memoryview(b"".join(_csv_blocks(table, start, len(table))))
+            while view:
+                view = view[os.write(write_fd, view):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _child_succeeded(pid):
+    """Reap the child; whether it exited with status 0."""
+    try:
+        return os.waitpid(pid, 0)[1] == 0
+    except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored): status lost
+        return False
 
 
 def write_wavefunction_csv(path, psi):
     """One row per node, "%.17g" per value (round-trip precision), CRLF ends.
 
     Rows are formatted a block at a time, one string and one write per
-    block, so memory stays bounded: the text held is one block long at any
-    grid size, where one string for the whole file would take several times
-    the float table.
+    block, so memory stays bounded: the text this process holds is one
+    block long at any grid size, where one string for the whole file would
+    take several times the float table.
+
+    From CSV_SPLIT_ROWS rows on, where os.fork exists, a forked child formats
+    the second half while this process formats the first, and this process
+    then copies the child's text into the file. The child holds only its own
+    half of the text. If no child can be started, or it fails, this process
+    formats those rows itself, so the file is the same either way, and it is
+    complete when this function returns.
     """
     columns = (psi.grid.nodes, psi.upper.real, psi.upper.imag,
                psi.lower.real, psi.lower.imag, psi.density())
     table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as handle:
-        handle.write("x,re_psi1,im_psi1,re_psi2,im_psi2,prob_density\r\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            handle.write(row * len(block) % tuple(block.ravel().tolist()))
+    n, mid = len(table), len(table) // 2
+    with open(path, "wb") as handle:
+        handle.write(b"x,re_psi1,im_psi1,re_psi2,im_psi2,prob_density\r\n")
+        child = None
+        if n >= CSV_SPLIT_ROWS and hasattr(os, "fork"):
+            child = _fork_formatter(table, mid)
+        if child is None:
+            handle.writelines(_csv_blocks(table, 0, n))
+            return
+        pid, pipe = child
+        try:
+            handle.writelines(_csv_blocks(table, 0, mid))
+            end = handle.tell()
+            while chunk := os.read(pipe, CSV_PIPE_BYTES):
+                handle.write(chunk)
+        finally:
+            os.close(pipe)
+            succeeded = _child_succeeded(pid)
+        if not succeeded:
+            handle.seek(end)
+            handle.truncate()
+            handle.writelines(_csv_blocks(table, mid, n))
 
 
 def run(config, out_dir=None):
@@ -616,8 +707,8 @@ def recheck(report_path):
     """Re-read a report and revalidate its pass/fail verdicts from the data."""
     with open(report_path) as handle:
         report = json.load(handle)
-    _require(isinstance(report, dict) and report.get("schema") == 1,
-             "report schema must be 1")
+    _require(isinstance(report, dict) and _is_integer(report.get("schema"))
+             and report["schema"] == 1, "report schema must be 1")
     # every workflow writes at least one check
     checks = report.get("checks")
     _require(isinstance(checks, list) and checks, "report checks must be a non-empty list")

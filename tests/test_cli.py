@@ -3,14 +3,21 @@
 import csv
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracosc import analytic, numerics
+from diracosc import analytic, cli, numerics
 from diracosc.cli import (
+    CSV_SPLIT_ROWS,
     StepModel,
     bound_census,
     closed_form_tables,
@@ -211,10 +218,17 @@ def test_parse_config_builds_typed_values():
      "electric-field formula contest"),
     ({"workflow": "zeromode", "model": {**STEP_MODEL, "energy": 10.0}},
      "need E^2 < f^2 + m^2 on both sides for decaying solutions"),
+    # JSON integers beyond the float range ended in an OverflowError traceback
+    ({"model": {**base_config()["model"], "kappa_f": 10**400}},
+     f"model.kappa_f must be a number, got {10**400}"),
+    ({"model": {**base_config()["model"],
+                "profile": {"type": "tanh", "amplitude": -10**400}}},
+     f"model.profile.amplitude must be a number, got {-10**400}"),
 ], ids=["tolerance-typo", "kapa_v", "enrgy", "kappa_v_value", "kappa_f-true",
         "half_length-true", "schema-true", "lambda-true", "match_e2-true", "wilson_r-true",
         "f_plus-string", "amplitude-string", "output_dir-number", "exponent-float",
-        "profile-type", "step-spectrum", "spectrum-field", "energy-window"])
+        "profile-type", "step-spectrum", "spectrum-field", "energy-window",
+        "kappa_f-overflow", "amplitude-overflow"])
 def test_refused_config_writes_nothing(tmp_path, capsys, overrides, message):
     # each of these used to run anyway, end in a traceback, stop with a wrong
     # message, or stop only after the output directory had been made
@@ -338,6 +352,30 @@ def reference_wavefunction_csv(path, psi):
             ])
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the largest odd grid the writer formats in one process and the smallest
+# it splits with a forked child
+BELOW_SPLIT, AT_SPLIT = (CSV_SPLIT_ROWS | 1) - 2, CSV_SPLIT_ROWS | 1
+
+
+def quadrature_mode(n_points):
+    model = CoupledModel(0.6, 0.8, 0.0, TanhPowerProfile(3, 0.5))
+    return zero_mode_quadrature(model, Grid(24.0, n_points)).psi
+
+
+def assert_matches_reference(tmp_path, name, psi):
+    write_wavefunction_csv(tmp_path / f"{name}.csv", psi)
+    assert_no_child_left()
+    reference_wavefunction_csv(tmp_path / f"{name}_ref.csv", psi)
+    got = (tmp_path / f"{name}.csv").read_bytes()
+    assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+    assert got.count(b"\r\n") == psi.grid.n_points + 1, name
+
+
 @pytest.mark.parametrize("n_points", [3, 63, 65, 129, 801])
 def test_wavefunction_csv_matches_csv_writer(tmp_path, n_points):
     # the grids end inside the first 64-row block and just past one or two
@@ -348,15 +386,107 @@ def test_wavefunction_csv_matches_csv_writer(tmp_path, n_points):
     fields = {"step": psi,
               "mirrored": SpinorField(psi.grid, np.conj(psi.upper), -psi.lower)}
     if n_points > 3:   # a 3-node grid leaves no interior for its residual
-        model = CoupledModel(0.6, 0.8, 0.0, TanhPowerProfile(3, 0.5))
-        fields["quadrature"] = zero_mode_quadrature(model, Grid(24.0, n_points)).psi
+        fields["quadrature"] = quadrature_mode(n_points)
     for name, field in fields.items():
-        write_wavefunction_csv(tmp_path / f"{name}.csv", field)
-        reference_wavefunction_csv(tmp_path / f"{name}_ref.csv", field)
-        got = (tmp_path / f"{name}.csv").read_bytes()
-        assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
-        assert got.count(b"\r\n") == n_points + 1, name
+        assert_matches_reference(tmp_path, name, field)
     assert b",-0,-0," in (tmp_path / "mirrored.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_points", [BELOW_SPLIT, AT_SPLIT, 24001])
+def test_split_wavefunction_csv_matches_csv_writer(tmp_path, n_points):
+    # one process below CSV_SPLIT_ROWS, a forked child for the second half
+    # from there on; the mirrored step mode puts "-0" in the child's half
+    fields = {"quadrature": quadrature_mode(n_points)}
+    if n_points == AT_SPLIT:
+        psi = step_match(StepMatchProblem(3.0, 3.0, 4.0, 4.0), Grid(5.0, n_points)).psi
+        fields["mirrored"] = SpinorField(psi.grid, np.conj(psi.upper), -psi.lower)
+    for name, field in fields.items():
+        assert_matches_reference(tmp_path, name, field)
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_wavefunction_csv_without_a_child_process(tmp_path, monkeypatch, call):
+    # EAGAIN or ENOMEM under a process or memory limit: this process
+    # formats every row itself
+    def refuse(*args):
+        raise OSError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, call, refuse)
+    assert_matches_reference(tmp_path, call, quadrature_mode(AT_SPLIT))
+
+
+def test_wavefunction_csv_fork_warning_is_not_an_error(tmp_path, monkeypatch):
+    # Python >= 3.12 warns after a fork in a process with threads, and the
+    # test settings turn a DeprecationWarning into an error
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+    monkeypatch.setattr(os, "fork", warning_fork)
+    assert_matches_reference(tmp_path, "warned", quadrature_mode(AT_SPLIT))
+
+
+@pytest.mark.parametrize("failure", ["format", "write", "killed"])
+def test_wavefunction_csv_survives_a_failing_child(tmp_path, monkeypatch, failure):
+    # the child raises before it sends anything, sends part of its half and
+    # raises, or sends part of its half and is killed; the file must still
+    # be whole, never short
+    parent = os.getpid()
+    format_blocks, write = cli._csv_blocks, os.write
+
+    def formatter(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("formatter failed in the child")
+        return format_blocks(*args)
+
+    def partial_write(fd, data):
+        if os.getpid() == parent:
+            return write(fd, data)
+        write(fd, data[:5000])
+        if failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise OSError(28, "No space left on device")
+
+    if failure == "format":
+        monkeypatch.setattr(cli, "_csv_blocks", formatter)
+    else:
+        monkeypatch.setattr(os, "write", partial_write)
+    assert_matches_reference(tmp_path, failure, quadrature_mode(AT_SPLIT))
+
+
+CHILD_PROBE = """\
+import signal, sys
+sys.path.insert(0, {src!r})
+from diracosc.cli import write_wavefunction_csv
+from diracosc.model import CoupledModel, Grid, TanhPowerProfile
+from diracosc.zeromodes import zero_mode_quadrature
+if {ignore_sigchld}:
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)   # children reaped unseen
+psi = zero_mode_quadrature(CoupledModel(0.6, 0.8, 0.0, TanhPowerProfile(3, 0.5)),
+                           Grid(24.0, 24001)).psi
+print("marker")             # held in the buffer of a piped stdout at the fork
+write_wavefunction_csv({path!r}, psi)
+"""
+
+
+@pytest.mark.parametrize("ignore_sigchld", [False, True])
+def test_wavefunction_csv_child_never_returns_to_the_caller(tmp_path, ignore_sigchld):
+    # a child that returned, or flushed what it inherited on exit, would
+    # print the marker a second time; with SIGCHLD ignored its exit status
+    # is lost, and this process formats the second half again
+    path = tmp_path / "probe.csv"
+    code = CHILD_PROBE.format(src=str(Path(cli.__file__).parents[1]), path=str(path),
+                              ignore_sigchld=ignore_sigchld)
+    # an unbuffered stdout would print the marker before the fork
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True, env=env)
+    assert proc.stdout == "marker\n"
+    reference_wavefunction_csv(tmp_path / "ref.csv", quadrature_mode(24001))
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_wavefunction_csv_memory_is_bounded(tmp_path):
@@ -648,6 +778,7 @@ def test_recheck_bad_report_exit_code(tmp_path, capsys):
     ({"value": "0.1"}, "value and tolerance must be numbers"),
     ({"value": None}, "value and tolerance must be numbers"),
     ({"tolerance": True}, "value and tolerance must be numbers"),
+    ({"value": 10**400}, "value and tolerance must be numbers"),   # was OverflowError
 ])
 def test_recheck_rejects_malformed_check(tmp_path, capsys, broken, message):
     # a missing key, an unknown op or a non-number is one error line, not a
@@ -668,6 +799,9 @@ def test_recheck_rejects_malformed_check(tmp_path, capsys, broken, message):
     ({"schema": 1, "checks": 5}, "report checks must be a non-empty list"),
     ({"schema": 1}, "report checks must be a non-empty list"),
     ({"schema": 1, "checks": []}, "report checks must be a non-empty list"),
+    ({"schema": True, "checks": [{"name": "c", "value": 1.0, "tolerance": 0.5,
+                                  "op": "ge", "passed": True}]},
+     "report schema must be 1"),   # True == 1 holds; this passed with exit 0
 ])
 def test_recheck_rejects_malformed_report(tmp_path, capsys, doc, message):
     path = tmp_path / "report.json"
