@@ -52,6 +52,7 @@ from .numerics import (
     SchrodingerMatrix,
     build_dirac,
     build_schrodinger,
+    build_staggered,
     classify_bound,
     dirac_continuum_edge,
     dirac_residual,

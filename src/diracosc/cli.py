@@ -41,6 +41,10 @@ DEFAULT_TOLERANCES = {
     "arbitrate": 5e-3,         # per-level tolerance for the variant contest
 }
 
+# grid.n_points may be at most this: far more than any solve needs, and low
+# enough that the node array fits in memory
+MAX_N_POINTS = 1_000_001
+
 # zero-mode Dirac residuals by mechanism
 RESIDUAL_TOL = {"quadrature": 1e-6, "interface_matching": 1e-4}
 NORM_TOL = 1e-8                # h-weighted norm deviation from 1
@@ -176,7 +180,7 @@ class RunConfig:
     workflow: str
     model: object              # CoupledModel, StepModel or TransformedPotentialParameters
     grid: Grid
-    wilson_r: float
+    wilson_r: object           # as given (a float), or None; no workflow uses it
     tolerances: dict
     output_dir: str
     sweep_fields: tuple        # the kappa_v values a sweep visits
@@ -194,9 +198,10 @@ def parse_config(doc):
     _check_block(doc["grid"], "grid.", "grid", CONFIG_KEYS["grid"])
     L, N = doc["grid"]["half_length"], doc["grid"]["n_points"]
     _require(L > 0, "grid.half_length must be > 0")
-    _require(N >= 3 and N % 2 == 1, "grid.n_points must be an odd integer >= 3")
-    wilson_r = doc.get("wilson_r", 1.0)
-    _require(wilson_r >= 0, "wilson_r must be >= 0")
+    _require(3 <= N <= MAX_N_POINTS and N % 2 == 1,
+             f"grid.n_points must be an odd integer from 3 to {MAX_N_POINTS}")
+    wilson_r = doc.get("wilson_r")
+    _require(wilson_r is None or wilson_r >= 0, "wilson_r must be >= 0")
     given = doc.get("tolerances", {})
     _check_block(given, "tolerances.", "tolerances", CONFIG_KEYS["tolerances"])
     for key, val in given.items():
@@ -217,7 +222,7 @@ def parse_config(doc):
         workflow=workflow,
         model=model,
         grid=Grid(float(L), N),
-        wilson_r=float(wilson_r),
+        wilson_r=None if wilson_r is None else float(wilson_r),
         tolerances={**DEFAULT_TOLERANCES, **{k: float(v) for k, v in given.items()}},
         output_dir=doc.get("output_dir", "."),
         sweep_fields=fields,
@@ -265,40 +270,38 @@ class BoundCensus:
     matches: list
 
 
-def bound_census(model, grid, wilson_r, tables, tol):
+def bound_census(model, grid, tables, tol):
     """Solve, cluster and match the bound spectrum of a coupled model.
 
-    Only pairs inside the continuum edge can be bound, so that edge is the
+    The operator is the staggered chain (numerics.build_staggered). Only
+    pairs inside the continuum edge can be bound, so that edge is the
     eigen-window; at a zero edge (supercritical field) nothing is solved.
-    E^2 values closer than max(tol, 20 h^2) share a cluster.
+    E^2 values closer than tol share a cluster.
     """
     profiles = model.general()
     edge = numerics.dirac_continuum_edge(profiles, grid)
     values = np.empty(0)
     if edge > 0:
-        matrix = numerics.build_dirac(profiles, grid, wilson_r=wilson_r)
+        matrix = numerics.build_staggered(profiles, grid)
         result = numerics.eigensolve(matrix, window=(-edge, edge))
         values, _ = numerics.classify_bound(result, edge).bound()
-    clusters = _cluster_e_squared(values, max(tol, 20.0 * grid.spacing**2))
+    clusters = _cluster_e_squared(values, tol)
     matches = [(table, *_match_tables(table, clusters, tol)) for table in tables]
     return BoundCensus(values, edge, clusters, matches)
 
 
-def config_warnings(model, grid, wilson_r):
+def config_warnings(model, wilson_r):
     """Configuration smells of a census run; none depends on kappa_v.
 
-    The doubler branch sits at |E| of order 2*wilson_r/h, and when that gap
-    is not safely above the continuum edge a doubler state can masquerade as
-    a bound level; and a sloped linear profile never saturates, so its
-    box-end edge is no threshold.
+    A wilson_r the config sets (None when it sets none) has no effect, since
+    the census operator needs no regulator; and a sloped linear profile
+    never saturates, so its box-end edge is no threshold.
     """
     warnings = []
-    ends = math.hypot(model.f(grid.half_length), model.m(grid.half_length))
-    gap = 2.0 * wilson_r / grid.spacing
-    if wilson_r > 0 and gap < 1.5 * ends:
+    if wilson_r is not None:
         warnings.append(
-            f"doubler gap 2r/h = {gap:g} is not well above the asymptotic "
-            f"scale {ends:g}; raise wilson_r or refine the grid"
+            f"wilson_r = {wilson_r:g} is ignored: the spectrum, sweep and arbitrate "
+            "workflows solve the staggered operator, which has no regulator"
         )
     if isinstance(model.profile, LinearProfile) and model.profile.slope != 0:
         warnings.append(
@@ -373,8 +376,7 @@ def run_spectrum(config):
              "the spectrum workflow handles kappa_v = 0; use 'arbitrate' for "
              "the electric-field formula contest")
     tol = config.tolerances["match_e2"]
-    census = bound_census(model, config.grid, config.wilson_r,
-                          closed_form_tables(model), tol)
+    census = bound_census(model, config.grid, closed_form_tables(model), tol)
     checks = []
     table_reports = []
     for table, records, unmatched in census.matches:
@@ -396,7 +398,7 @@ def run_spectrum(config):
         "bound_energies": [float(v) for v in census.values],
         "bound_e_squared_clusters": census.clusters,
         "analytic_tables": table_reports,
-        "warnings": config_warnings(model, config.grid, config.wilson_r),
+        "warnings": config_warnings(model, config.wilson_r),
     }
     return results, checks, {}
 
@@ -454,8 +456,7 @@ def run_sweep(config):
     counts = []
     for kv in config.sweep_fields:
         m = replace(model, kappa_v=kv)
-        census = bound_census(m, config.grid, config.wilson_r, [],
-                              config.tolerances["match_e2"])
+        census = bound_census(m, config.grid, [], config.tolerances["match_e2"])
         values = census.values
         order = np.argsort(np.abs(values))[:5]
         rows.append({
@@ -474,7 +475,7 @@ def run_sweep(config):
                float(max(beyond) if beyond else 0), 0.5, "le"),
     ]
     results = {"critical_field": critical, "steps": rows,
-               "warnings": config_warnings(model, config.grid, config.wilson_r)}
+               "warnings": config_warnings(model, config.wilson_r)}
     return results, checks, {}
 
 
@@ -485,8 +486,7 @@ def run_arbitrate(config):
              "arbitrate needs a pure tanh profile (shift 0)")
     _require(model.kappa_v != 0, "arbitrate needs kappa_v != 0")
     tol = config.tolerances["arbitrate"]
-    census = bound_census(model, config.grid, config.wilson_r,
-                          closed_form_tables(model), tol)
+    census = bound_census(model, config.grid, closed_form_tables(model), tol)
     verdicts = {}
     per_table = {}
     for table, records, unmatched in census.matches:
@@ -514,7 +514,7 @@ def run_arbitrate(config):
         "levels": per_table,
         "verdicts": verdicts,
         "winner": decisive,
-        "warnings": config_warnings(model, config.grid, config.wilson_r),
+        "warnings": config_warnings(model, config.wilson_r),
     }
     checks = [_check("decisive_winner", 1.0 if decisive else 0.0, 0.5, "ge")]
     return results, checks, {}
@@ -703,10 +703,20 @@ def run(config, out_dir=None):
     return (0 if report["passed"] else 2), report_path
 
 
+def _read_json(path):
+    """The JSON document in `path`; ConfigError when it does not decode."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        # malformed JSON, or an integer longer than Python converts (4300
+        # digits by default)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+
+
 def recheck(report_path):
     """Re-read a report and revalidate its pass/fail verdicts from the data."""
-    with open(report_path) as handle:
-        report = json.load(handle)
+    report = _read_json(report_path)
     _require(isinstance(report, dict) and _is_integer(report.get("schema"))
              and report["schema"] == 1, "report schema must be 1")
     # every workflow writes at least one check
@@ -761,16 +771,14 @@ def main(argv=None):
     try:
         if args.recheck is not None:
             return recheck(args.recheck)
-        with open(args.config) as handle:
-            doc = json.load(handle)
-        config = parse_config(doc)
+        config = parse_config(_read_json(args.config))
         code, report_path = run(config, out_dir=args.out)
         print(f"report written to {report_path}")
         return code
     except SupercriticalError as err:
         print(f"error: {err} (critical field = {err.critical:g})", file=sys.stderr)
         return 1
-    except (DiracOscError, json.JSONDecodeError, OSError) as err:
+    except (DiracOscError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

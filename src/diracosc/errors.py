@@ -34,6 +34,10 @@ class BoxStateError(DiracOscError):
         )
 
 
+class LatticeThresholdError(DiracOscError, ValueError):
+    """A grid too coarse for the staggered operator: h * max|m| >= 2."""
+
+
 class ProfileSingularityError(DiracOscError):
     """Derivative requested at a point where the profile is not differentiable."""
 

@@ -1,19 +1,42 @@
 """Hot numeric kernels: banded Hamiltonian assembly, band product, quadrature.
 
-Both operators are stored as the lower band of a real symmetric matrix,
+Every operator is stored as the lower band of a real symmetric matrix,
 band[d, j] = H[j + d, j], unused row tails zero. The first-order operator
-lives on interleaved nodes in the per-node sigma_y basis: index 2j holds
-w_j = (psi1 + i psi2)/sqrt2 and 2j + 1 holds u_j = (psi1 - i psi2)/sqrt2 of
-node j. That map is unitary, so the band is real symmetric with the
-physical spectrum, and at r = 1 it is tridiagonal; `band_dense` expands a
-band for the dense solve that other r need.
+lives in the sigma_y basis w = (psi1 + i psi2)/sqrt2, u = (psi1 - i psi2)/sqrt2,
+where it is real symmetric with the physical spectrum. `assemble_dirac`
+builds the staggered chain the census workflows solve: w on the nodes, u on
+the midpoints, interleaved, so it is tridiagonal and needs no regulator.
+`assemble_wilson` builds the per-node Wilson band the library tests and the
+residual diagnostics use, index 2j holding w_j and 2j + 1 holding u_j; it is
+tridiagonal at r = 1, and `band_dense` expands it for the dense solve that
+other r need.
 """
 
 import numpy as np
 
 
-def assemble_dirac(f, m, v, h, r):
-    """Lower band (4, 2n) of the first-order operator in the sigma_y basis.
+def assemble_dirac(f, m, v, h):
+    """Lower band (2, 2n - 1) of the staggered first-order operator.
+
+    f and v are sampled at the 2n - 1 half-step points x_0, x_0 + h/2, ...,
+    x_{n-1}, and m at the 2n - 2 points a quarter step to the right of each
+    but the last. The chain interleaves w on the nodes with u on the
+    midpoints: the diagonal holds v + f at a node and v - f at a midpoint,
+    and the bond from a node to the midpoint on its right holds m/2 + 1/h,
+    the bond from a midpoint to the next node m/2 - 1/h. Both ends are w
+    nodes, which pins u to zero half a spacing outside the box.
+    """
+    band = np.zeros((2, f.shape[0]))
+    band[0, 0::2] = v[0::2] + f[0::2]
+    band[0, 1::2] = v[1::2] - f[1::2]
+    band[1, :-1] = 0.5 * m
+    band[1, 0:-1:2] += 1.0 / h
+    band[1, 1:-1:2] -= 1.0 / h
+    return band
+
+
+def assemble_wilson(f, m, v, h, r):
+    """Lower band (4, 2n) of the per-node Wilson operator in the sigma_y basis.
 
     The physical operator sigma_x p - sigma_y f + sigma_z m + v uses
     antisymmetric central differences for p, plus a second-difference

@@ -1,16 +1,22 @@
 """Discretized Hamiltonians and the numerical ground truth they provide.
 
-Both operators are real symmetric lower bands (see ``kernels``), the
-first-order one in the per-node sigma_y basis (w_j, u_j) it is solved in;
-direct LAPACK eigensolves keep every run deterministic. The first-order
-operator uses antisymmetric central differences plus an optional
-second-difference regulator (strength r) that lifts the lattice doubler
-branch by 2r/h; r = 1 is the default for spectra, while residual
-diagnostics always run at r = 0 so they measure the continuum equation. The
-second-order operator is tridiagonal, and so is the r = 1 first-order one:
-both go to one call of LAPACK's tridiagonal solver. Only r != 1 builds a
-dense matrix. `_physical` maps sigma_y rows back to the physical (psi1,
-psi2) components.
+Every operator is a real symmetric lower band (see ``kernels``), the
+first-order ones in the sigma_y basis (w, u) they are solved in; direct
+LAPACK eigensolves keep every run deterministic. The first-order operator
+comes in two discretizations. `build_staggered` puts w on the nodes and u on
+the midpoints: a tridiagonal chain of dimension 2N - 1 that does not split
++-E pairs (they are exact with v = 0 and odd f, m) and has no lattice
+doubler, so it needs no regulator; it is what the census workflows solve.
+It has one condition: once h * |m| reaches 2, its lattice band drops below
+the continuum edge, so it refuses such grids.
+`build_dirac` keeps both components on every node with antisymmetric central
+differences plus an optional second-difference regulator (strength r) that
+lifts the lattice doubler branch by 2r/h; the reference tests use it, and
+residual diagnostics run it at r = 0 so they measure the continuum equation.
+The second-order operator is tridiagonal, and so are the staggered chain and
+the r = 1 per-node band: all go to one call of LAPACK's tridiagonal solver.
+Only a per-node band at r != 1 builds a dense matrix. `_physical` maps the
+per-node sigma_y rows back to the physical (psi1, psi2) components.
 
 A windowed or k-smallest tridiagonal solve has two stages. Bisection
 (stebz) stops at sqrt(eps_mach)*||T||, with ||T|| bounded by
@@ -36,6 +42,7 @@ import numpy as np
 from . import kernels
 from .errors import (
     BoxStateError,
+    LatticeThresholdError,
     NonFiniteProfileError,
     VanishingSpinorError,
     ZeroOutputError,
@@ -68,7 +75,9 @@ FIXED_POINT_MAX_ITER = 100
 @dataclass(frozen=True)
 class DiracMatrix:
     grid: Grid
-    storage: np.ndarray          # sigma_y-basis lower band, shape (4, 2*n_points)
+    # sigma_y-basis lower band: per-node (4, 2*n_points) or staggered
+    # (2, 2*n_points - 1)
+    storage: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,11 @@ class EigenResult:
             )
 
     def node_density(self, i):
-        """Per-node probability of eigenvector i (components summed for dirac)."""
+        """Per-node probability of eigenvector i (components summed for dirac;
+        on the staggered chain node j takes the midpoint to its right)."""
         p = np.abs(self.vectors[:, i]) ** 2
         if self.kind == "dirac":
+            p = np.append(p, [0.0] * (len(p) % 2))   # the last node has no midpoint
             p = p[0::2] + p[1::2]
         return p
 
@@ -132,7 +143,34 @@ def build_dirac(profiles, grid, wilson_r=1.0):
     f = _sample(profiles.f, x)
     m = _sample(profiles.m, x)
     v = _sample(profiles.v, x)
-    band = kernels.assemble_dirac(f, m, v, grid.spacing, float(wilson_r))
+    band = kernels.assemble_wilson(f, m, v, grid.spacing, float(wilson_r))
+    return DiracMatrix(grid=grid, storage=band)
+
+
+def build_staggered(profiles, grid):
+    """Assemble the staggered first-order operator (see kernels.assemble_dirac).
+
+    f and v are sampled at the nodes and midpoints, m on the quarter-step
+    lattice, whose odd points feed the bonds. Raises LatticeThresholdError,
+    naming the smallest odd n_points that would do, when h * max|m| over
+    that lattice, box ends included, is 2 or more: the chain's lattice band
+    then reaches below the continuum edge.
+    """
+    h = grid.spacing
+    x = np.linspace(-grid.half_length, grid.half_length, 4 * grid.n_points - 3)
+    f = _sample(profiles.f, x[0::2])
+    m = _sample(profiles.m, x)
+    v = _sample(profiles.v, x[0::2])
+    m_max = float(np.abs(m).max())
+    if h * m_max >= 2.0:
+        # h * m_max < 2 once n_points - 1 > half_length * m_max
+        needed = math.floor(grid.half_length * m_max) + 2
+        raise LatticeThresholdError(
+            f"h*max|m| = {h * m_max:g} is not below 2, so lattice states of the "
+            f"staggered operator fall inside the continuum edge; n_points >= "
+            f"{needed + 1 - needed % 2} keeps it below 2"
+        )
+    band = kernels.assemble_dirac(f, m[1::2], v, h)
     return DiracMatrix(grid=grid, storage=band)
 
 
@@ -204,14 +242,16 @@ def eigensolve(matrix, k=None, window=None):
     Schrodinger: the k algebraically smallest pairs (all when k is None),
     from the tridiagonal band. Dirac: the pairs in `window=(lo, hi]`, or the
     full spectrum when window is None. A band with nothing beyond its first
-    subdiagonal (Schrodinger, or Dirac at r = 1) goes to LAPACK's
-    tridiagonal solver; a Dirac band at any other r is solved densely. A
+    subdiagonal (Schrodinger, staggered Dirac, or per-node Dirac at r = 1)
+    goes to LAPACK's tridiagonal solver; a per-node band at any other r is
+    solved densely. A
     windowed or k-smallest tridiagonal solve bisects only to
     BISECT_TOL*||T|| and then takes each value as the Rayleigh quotient of
     its vector, with one Rayleigh-Ritz step per group of values closer than
     GROUP_TOLS bisection tolerances (see _rayleigh_refine). Residuals are
-    taken on the stored band; Dirac vectors are returned as physical
-    (psi1, psi2) rows. Values are in ascending order.
+    taken on the stored band; per-node Dirac vectors are returned as
+    physical (psi1, psi2) rows, staggered ones as their (w, u) chain. Values
+    are in ascending order.
     """
     band = matrix.storage
     dim = band.shape[1]
@@ -253,7 +293,7 @@ def eigensolve(matrix, k=None, window=None):
     if tridiagonal and select != "a":
         vals, vecs, tv = _rayleigh_refine(vals, vecs, tv, GROUP_TOLS * tol)
     res = np.linalg.norm(tv - vecs * vals, axis=0)
-    if is_dirac:
+    if dim == 2 * matrix.grid.n_points:
         vecs = _physical(vecs)
     vecs = _fix_phase(vecs / math.sqrt(matrix.grid.spacing))
     return EigenResult(
@@ -269,7 +309,7 @@ def _outer_rows(result):
     """Row masks (left, right) of the outer OUTER_FRAC of grid nodes per side."""
     kk = max(1, int(round(OUTER_FRAC * result.grid.n_points)))
     if result.kind == "dirac":
-        kk *= 2                      # two interleaved components per node
+        kk *= 2                      # two interleaved rows per node spacing
     left = np.zeros(result.vectors.shape[0], dtype=bool)
     right = left.copy()
     left[:kk] = right[-kk:] = True
@@ -365,7 +405,7 @@ def _dirac_minus_e(f, m, v, h, psi1, psi2, energy):
     x[0::2] = (psi1 + 1j * psi2) / math.sqrt(2.0)
     x[1::2] = (psi1 - 1j * psi2) / math.sqrt(2.0)
     # E enters like v, on both diagonals
-    y = _physical(kernels.band_matvec(kernels.assemble_dirac(f, m, v - energy, h, 0.0), x))
+    y = _physical(kernels.band_matvec(kernels.assemble_wilson(f, m, v - energy, h, 0.0), x))
     return y[0::2], y[1::2]
 
 

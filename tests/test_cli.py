@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracosc import analytic, cli, numerics
+from diracosc import analytic, cli, kernels, numerics
 from diracosc.cli import (
     CSV_SPLIT_ROWS,
     StepModel,
@@ -118,15 +118,15 @@ def test_closed_form_tables_lookup(model, tables):
 
 
 def test_config_warnings_are_one_list_per_run(tmp_path):
-    # r = 0.05 at N = 201: the doubler gap 2r/h = 0.5 is far below 1.5 times
-    # the box-end scale sqrt(2) * 2 at every kappa_v, so each census workflow
-    # reports that one warning once, a sweep over four fields included
-    grid = Grid(20.0, 201)
+    # a config that sets wilson_r gets one warning that the census ignores
+    # it, at every kappa_v, so each census workflow reports that warning
+    # once, a sweep over four fields included
     model = CoupledModel(1.0, 1.0, 0.0, TanhProfile(2.0))
-    (warning,) = config_warnings(model, grid, 0.05)
-    assert "doubler gap 2r/h = 0.5 " in warning
+    (warning,) = config_warnings(model, 0.05)
+    assert warning.startswith("wilson_r = 0.05 is ignored")
     for kv in (0.5, 1.0, 2.0):
-        assert config_warnings(replace(model, kappa_v=kv), grid, 0.05) == [warning]
+        assert config_warnings(replace(model, kappa_v=kv), 0.05) == [warning]
+        assert config_warnings(replace(model, kappa_v=kv), None) == []
     spec = {"type": "coupled", "kappa_f": 1.0, "kappa_m": 1.0,
             "profile": {"type": "tanh", "amplitude": 2.0, "shift": 0.0}}
     for workflow, kv, extra in (
@@ -143,6 +143,10 @@ def test_config_warnings_are_one_list_per_run(tmp_path):
 
 def test_parse_config_validation():
     assert parse_config(base_config()).workflow == "spectrum"
+    assert parse_config(base_config()).wilson_r == 0.25
+    unset = base_config()
+    del unset["wilson_r"]
+    assert parse_config(unset).wilson_r is None
     for bad in (
         base_config(schema=2),
         base_config(workflow="plot"),
@@ -218,7 +222,10 @@ def test_parse_config_builds_typed_values():
      "electric-field formula contest"),
     ({"workflow": "zeromode", "model": {**STEP_MODEL, "energy": 10.0}},
      "need E^2 < f^2 + m^2 on both sides for decaying solutions"),
-    # JSON integers beyond the float range ended in an OverflowError traceback
+    # JSON integers beyond the float range ended in an OverflowError traceback,
+    # and a 401-digit odd grid size in a ValueError from np.linspace
+    ({"grid": {"half_length": 5.0, "n_points": 10**400 + 1}},
+     f"grid.n_points must be an odd integer from 3 to {cli.MAX_N_POINTS}"),
     ({"model": {**base_config()["model"], "kappa_f": 10**400}},
      f"model.kappa_f must be a number, got {10**400}"),
     ({"model": {**base_config()["model"],
@@ -228,7 +235,7 @@ def test_parse_config_builds_typed_values():
         "half_length-true", "schema-true", "lambda-true", "match_e2-true", "wilson_r-true",
         "f_plus-string", "amplitude-string", "output_dir-number", "exponent-float",
         "profile-type", "step-spectrum", "spectrum-field", "energy-window",
-        "kappa_f-overflow", "amplitude-overflow"])
+        "n_points-huge", "kappa_f-overflow", "amplitude-overflow"])
 def test_refused_config_writes_nothing(tmp_path, capsys, overrides, message):
     # each of these used to run anyway, end in a traceback, stop with a wrong
     # message, or stop only after the output directory had been made
@@ -588,18 +595,17 @@ def test_census_window_is_the_continuum_edge(tmp_path, monkeypatch):
 
 
 def test_readme_model_census_at_n8001():
-    # the README spectrum model at r = 1 on a 4x finer grid than the README
-    # config: seven bound states in the four closed-form E^2 levels, each one
-    # nearer its level than at N = 2001
+    # the README spectrum model on a 4x finer grid than the README config:
+    # seven bound states in the four closed-form E^2 levels, each nonzero one
+    # nearer its level than at N = 2001; the E^2 = 0 level is exact up to
+    # rounding at both sizes, so it is held to a floor instead
     model = CoupledModel(3.0, 4.0, 0.0, TanhProfile(0.8))
     table = analytic.rosen_morse2_levels(math.hypot(3.0, 4.0) * 0.8, 0.0)
     levels = np.array(sorted({rec.e_squared for rec in table.entries}))
     assert levels == pytest.approx([0.0, 7.0, 12.0, 15.0])
 
     def census(n_points):
-        grid = Grid(20.0, n_points)
-        assert config_warnings(model, grid, 1.0) == []
-        values = bound_census(model, grid, 1.0, [], 1e-3).values
+        values = bound_census(model, Grid(20.0, n_points), [], 1e-3).values
         e2 = values**2
         nearest = np.argmin(np.abs(e2[:, None] - levels), axis=1)
         worst = [np.max(np.abs(e2[nearest == k] - levels[k])) if np.any(nearest == k)
@@ -610,42 +616,103 @@ def test_readme_model_census_at_n8001():
     assert count == 7
     assert multiplicity.tolist() == [1, 2, 2, 2]
     _, _, coarse = census(2001)
-    assert all(f < c for f, c in zip(fine, coarse)), (fine, coarse)
+    assert fine[0] < 1e-12 and coarse[0] < 1e-12, (fine, coarse)
+    assert all(f < c for f, c in zip(fine[1:], coarse[1:])), (fine, coarse)
 
 
-def test_doubler_gap_warning(tmp_path):
-    # 2r/h = 0.5 at r = 0.05, N = 201 sits far below 1.5 times the
-    # asymptotic scale kappa * amplitude = 4
-    def warnings_for(wilson_r, n_points):
-        doc = base_config(wilson_r=wilson_r,
-                          grid={"half_length": 20.0, "n_points": n_points})
-        _, report_path = run(parse_config(doc), out_dir=str(tmp_path))
+def test_ac5_sweep_counts_the_closed_form_levels(tmp_path):
+    # the AC-5 sweep: at each subcritical field the count is the number of
+    # states in the closed-form level table (Rosen-Morse II at kappa_v = 0,
+    # the rederived field levels after it), 9, 5, 1, 1;
+    # the Wilson operator at r = 1 counted 2 at kappa_v = 4, one just under
+    # the edge
+    fields = [0.0, 2.0, 4.0, 4.9, 5.0, 5.5]
+    doc = base_config(
+        workflow="sweep",
+        model={"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
+               "profile": {"type": "tanh", "amplitude": 1.0, "shift": 0.0}},
+        grid={"half_length": 20.0, "n_points": 1201},
+        wilson_r=1.0,
+        sweep={"kappa_v_values": fields},
+    )
+    config = parse_config(doc)
+    code, report_path = run(config, out_dir=str(tmp_path))
+    assert code == 0
+    with open(report_path) as handle:
+        counts = [row["bound_count"] for row in json.load(handle)["results"]["steps"]]
+    expected = [len(closed_form_tables(replace(config.model, kappa_v=kv))[-1].entries)
+                if kv < 5.0 else 0 for kv in fields]
+    assert expected == [9, 5, 1, 1, 0, 0]
+    assert counts == expected
+
+
+@pytest.mark.parametrize("workflow", ["spectrum", "sweep", "arbitrate"])
+def test_census_ignores_wilson_r(tmp_path, monkeypatch, workflow):
+    # every census solves the tridiagonal staggered chain, so no wilson_r
+    # builds a dense matrix, and the reports differ only by the warning
+    def no_dense(band):
+        raise AssertionError("dense matrix built for a census")
+
+    monkeypatch.setattr(kernels, "band_dense", no_dense)
+    kappa_v = 1.0 if workflow == "arbitrate" else 0.0
+    model = {"type": "coupled", "kappa_f": 1.0, "kappa_m": 1.0, "kappa_v": kappa_v,
+             "profile": {"type": "tanh", "amplitude": 2.0, "shift": 0.0}}
+    reports = []
+    for wilson_r in (0.25, 1.0, None):
+        doc = base_config(workflow=workflow, model=model, wilson_r=wilson_r,
+                          grid={"half_length": 20.0, "n_points": 401},
+                          sweep={"kappa_v_values": [0.0, 1.0, 2.0]})
+        if wilson_r is None:
+            del doc["wilson_r"]
+        _, report_path = run(parse_config(doc), out_dir=str(tmp_path / str(wilson_r)))
         with open(report_path) as handle:
-            return json.load(handle)["results"]["warnings"]
+            reports.append(json.load(handle))
+    warnings = [report["results"].pop("warnings") for report in reports]
+    assert warnings[0] == [
+        "wilson_r = 0.25 is ignored: the spectrum, sweep and arbitrate workflows "
+        "solve the staggered operator, which has no regulator"]
+    assert len(warnings[1]) == 1 and warnings[2] == []
+    for report in reports[1:]:
+        assert report["results"] == reports[0]["results"]
+        assert report["checks"] == reports[0]["checks"]
 
-    (warning,) = warnings_for(0.05, 201)
-    assert "doubler gap 2r/h = 0.5 " in warning and "scale 4;" in warning
-    assert warnings_for(1.0, 1201) == []
+
+@pytest.mark.parametrize("workflow", ["spectrum", "sweep"])
+def test_grid_past_the_lattice_threshold_is_refused(tmp_path, capsys, workflow):
+    # the README model has max|m| = 3.2 at the box ends, so h*max|m| is 2 at
+    # N = 65; at N = 61 every eigenvalue of the staggered chain lies inside
+    # the continuum edge, and the smallest odd N that runs is 67
+    out = tmp_path / "out"
+    doc = base_config(workflow=workflow, grid={"half_length": 20.0, "n_points": 61},
+                      sweep={"kappa_v_values": [0.0, 2.0]}, output_dir=str(out))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == (
+        "error: h*max|m| = 2.13333 is not below 2, so lattice states of the staggered "
+        "operator fall inside the continuum edge; n_points >= 67 keeps it below 2\n")
+    assert not out.exists()
+    doc["grid"]["n_points"] = 71
+    assert main(["run", "--config", write_config(tmp_path, doc)]) in (0, 2)
+    assert (out / f"{workflow}_report.json").exists()
 
 
 def test_non_saturating_edge_warning(tmp_path):
-    # at N = 201 the doubler gap 2r/h = 10 is above 1.5 times every box-end
-    # scale here, so the only warning a census can give is the edge one
-    grid = Grid(20.0, 201)
+    # without wilson_r in the config, the only warning a census can give is
+    # the edge one
     tanh_table = TabulatedProfile(np.linspace(-20.0, 20.0, 41),
                                   np.tanh(np.linspace(-20.0, 20.0, 41)))
     for profile in (TanhProfile(1.0), TanhPowerProfile(3), TanhSechProfile(1.0, 0.5),
                     StepProfile(1.0, 1.0), tanh_table, LinearProfile(0.0, 1.0)):
         model = CoupledModel(3.0, 4.0, 0.0, profile)
-        assert config_warnings(model, grid, 1.0) == [], profile
+        assert config_warnings(model, None) == [], profile
 
     linear = {"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
               "profile": {"type": "linear", "slope": 0.05}}
     reports = {}
     for workflow, extra in (("spectrum", {}),
                             ("sweep", {"sweep": {"kappa_v_values": [0.0, 1.0, 2.0]}})):
-        doc = base_config(workflow=workflow, model=linear, wilson_r=1.0,
+        doc = base_config(workflow=workflow, model=linear,
                           grid={"half_length": 20.0, "n_points": 201}, **extra)
+        del doc["wilson_r"]
         _, report_path = run(parse_config(doc), out_dir=str(tmp_path / workflow))
         with open(report_path) as handle:
             reports[workflow] = json.load(handle)["results"]["warnings"]
@@ -764,6 +831,21 @@ def test_zeromode_transformed_level_must_be_an_integer(tmp_path, capsys, n):
                       output_dir=str(tmp_path))
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
     assert capsys.readouterr().err == f"error: model.n must be an integer, got {n!r}\n"
+
+
+def test_overlong_json_integer_is_an_input_error(tmp_path, capsys):
+    # json.load raises a ValueError, not a JSONDecodeError, for an integer
+    # longer than Python converts (4300 digits by default); it ended both
+    # paths in a traceback
+    out = tmp_path / "out"
+    text = json.dumps(base_config(output_dir=str(out)))
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"kappa_f": 3.0', '"kappa_f": 1' + "0" * 5000))
+    for args in (["--config", str(path)], ["--recheck", str(path)]):
+        assert main(["run", *args]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: Exceeds the limit (4300 digits)")
+    assert not out.exists()
 
 
 def test_recheck_bad_report_exit_code(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""The numpy kernels: banded assembly in the sigma_y basis, the band product
-and cumulative quadrature."""
+"""The numpy kernels: banded assembly in the sigma_y basis (staggered chain
+and per-node Wilson band), the band product and cumulative quadrature."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -59,7 +59,7 @@ def test_apply_matches_assembled_matrix(n, r, energy, seed):
     h = 20.0 / (n - 1)
     f, m, v = rng.uniform(-5.0, 5.0, size=(3, n))
     p = sigma_y_map(n)
-    band = kernels.assemble_dirac(f, m, v, h, r)
+    band = kernels.assemble_wilson(f, m, v, h, r)
     dense = kernels.band_dense(band)
     assert np.allclose(p @ dense @ p.conj().T, reference_dirac(f, m, v, h, r),
                        atol=1e-12, rtol=0)
@@ -68,7 +68,7 @@ def test_apply_matches_assembled_matrix(n, r, energy, seed):
     diag[0::2], diag[1::2] = v + f, v - f
     assert np.array_equal(band[0], diag)
     assert not band[2].any()
-    assert not kernels.assemble_dirac(f, m, v, h, 1.0)[2:].any()
+    assert not kernels.assemble_wilson(f, m, v, h, 1.0)[2:].any()
 
     schrodinger = kernels.assemble_schrodinger(f, h)
     for b in (band, schrodinger):
@@ -88,6 +88,35 @@ def test_apply_matches_assembled_matrix(n, r, energy, seed):
     o1, o2 = _dirac_minus_e(f, m, v, h, p1, p2, energy)
     assert np.allclose(o1, ref[0::2], atol=1e-12, rtol=0)
     assert np.allclose(o2, ref[1::2], atol=1e-12, rtol=0)
+
+
+def reference_staggered(f, m, v, h):
+    """The staggered chain row by row: (v + f) w + (m + d/dx) u at a node,
+    (m - d/dx) w + (v - f) u at a midpoint, m taken on the bond between the
+    two points a central difference joins."""
+    dim = f.shape[0]
+    H = np.zeros((dim, dim))
+    for k in range(dim):
+        sign = 1.0 if k % 2 == 0 else -1.0
+        H[k, k] = v[k] + sign * f[k]
+        if k + 1 < dim:
+            H[k, k + 1] = m[k] / 2.0 + sign / h
+        if k > 0:
+            H[k, k - 1] = m[k - 1] / 2.0 - sign / h
+    return H
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), h=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_staggered_chain_matches_its_stencil(n, h, seed):
+    # the band is tridiagonal, symmetric and holds the stencil's entries
+    rng = np.random.default_rng(seed)
+    f, v = rng.uniform(-5.0, 5.0, size=(2, 2 * n - 1))
+    m = rng.uniform(-5.0, 5.0, size=2 * n - 2)
+    band = kernels.assemble_dirac(f, m, v, h)
+    assert band.shape == (2, 2 * n - 1) and band[1, -1] == 0.0
+    assert np.allclose(kernels.band_dense(band), reference_staggered(f, m, v, h),
+                       atol=1e-12, rtol=0)
 
 
 def test_cumulative_simpson_against_closed_forms():

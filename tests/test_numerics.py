@@ -27,6 +27,7 @@ from diracosc.numerics import (
     _newton_level,
     build_dirac,
     build_schrodinger,
+    build_staggered,
     classify_bound,
     dirac_continuum_edge,
     dirac_residual,
@@ -135,7 +136,7 @@ def random_dirac(n, h, r, seed, v_scale=5.0):
     f, m = rng.uniform(-5.0, 5.0, size=(2, n))
     v = rng.uniform(-v_scale, v_scale, size=n)
     grid = Grid(h * (n - 1) / 2.0, n)
-    return DiracMatrix(grid=grid, storage=kernels.assemble_dirac(f, m, v, h, r))
+    return DiracMatrix(grid=grid, storage=kernels.assemble_wilson(f, m, v, h, r))
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,6 +207,23 @@ def test_r0_spectrum_is_mirror_symmetric_without_field(n, h, seed):
     vals = eigensolve(random_dirac(n, h, 0.0, seed, v_scale=0.0)).values
     scale = max(1.0, np.max(np.abs(vals)))
     assert np.max(np.abs(vals + vals[::-1])) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 101), h=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_staggered_spectrum_is_mirror_symmetric_without_field(n, h, seed):
+    # with v = 0 and f, m odd about the centre, reversing the chain end to
+    # end negates every entry, so the eigenvalues pair as +-E and the odd
+    # dimension 2n - 1 holds one exact zero
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(-5.0, 5.0, size=2 * n - 1)
+    m = rng.uniform(-5.0, 5.0, size=2 * n - 2)
+    band = kernels.assemble_dirac(f - f[::-1], m - m[::-1], np.zeros(2 * n - 1), h)
+    matrix = DiracMatrix(grid=Grid(h * (n - 1) / 2.0, n), storage=band)
+    vals = eigensolve(matrix).values
+    scale = max(1.0, np.max(np.abs(vals)))
+    assert np.max(np.abs(vals + vals[::-1])) <= 1e-12 * scale
+    assert np.min(np.abs(vals)) <= 1e-12 * scale
 
 
 def test_eigensolve_window_and_k_selection():
@@ -309,7 +327,7 @@ def test_bound_count_does_not_increase_with_field(n_points, kappa_v):
     grid = Grid(20.0, n_points)
     counts = [
         len(bound_census(CoupledModel(3.0, 4.0, kv, TanhProfile(1.0)),
-                         grid, 1.0, [], 1e-3).values)
+                         grid, [], 1e-3).values)
         for kv in sorted(kappa_v)
     ]
     assert counts == sorted(counts, reverse=True)
@@ -379,6 +397,27 @@ def test_classify_bound_jackiw_rebbi_single_flag():
     res = eigensolve(matrix, window=(-3.0, 3.0))
     cls = classify_bound(res, dirac_continuum_edge(profiles, g))
     assert int(cls.bound_flags.sum()) == 1
+
+
+def test_staggered_mass_kink_separates_wall_states_from_the_zero_mode():
+    # kappa_f = 0: with f = v = 0 both hard-wall states of the staggered
+    # chain sit at E = 0 with the physical zero mode, three values in one
+    # cluster; re-mixing the cluster keeps the zero mode, so the window
+    # holds 9 values and 7 bound states (E^2 = 0, 7, 12, 15)
+    g = Grid(20.0, 2001)
+    profiles = CoupledModel(0.0, 4.0, 0.0, TanhProfile(1.0)).general()
+    edge = dirac_continuum_edge(profiles, g)
+    res = eigensolve(build_staggered(profiles, g), window=(-edge, edge))
+    assert len(res.values) == 9
+    assert np.sum(np.abs(res.values) < 1e-12) == 3
+    cls = classify_bound(res, edge)
+    vals, idx = cls.bound()
+    assert len(vals) == 7
+    assert np.sort(vals**2)[::2] == pytest.approx([0.0, 7.0, 12.0, 15.0], abs=5e-3)
+    # the zero mode, h-normalized, sits at the kink
+    dens = cls.node_density(idx[np.argmin(np.abs(vals))])
+    assert np.sum(dens) * g.spacing == pytest.approx(1.0, abs=1e-12)
+    assert g.nodes[np.argmax(dens)] == pytest.approx(0.0, abs=0.5)
 
 
 def test_supercritical_sweep_point_has_no_bound_states():

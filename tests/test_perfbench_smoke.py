@@ -33,6 +33,10 @@ def run_benchmark(tmp_path, workload, seed):
     result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
     assert isinstance(result, dict)
     assert result["correct"] is True
+    # a traced run reports every per-layer metric the benchmark declares; a
+    # layer the workload no longer enters through a traced call drops out
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in spec["per_layer"])
     return result
 
 
