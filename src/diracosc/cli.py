@@ -233,6 +233,19 @@ def parse_config(doc):
 # ---------------------------------------------------------------------------
 # shared numeric helpers
 
+def _table_amplitude(model):
+    """The A of the closed-form tables that apply to a coupled model (the
+    largest, when there are two), or None when none does. A table lists at
+    most 2*ceil(A) - 1 candidate levels."""
+    prof = model.profile
+    kappa = math.hypot(model.kappa_f, model.kappa_m)
+    if model.kappa_v == 0 and isinstance(prof, TanhSechProfile):
+        return kappa * prof.a
+    if isinstance(prof, TanhProfile) and (model.kappa_v == 0 or prof.shift == 0):
+        return kappa * prof.amplitude
+    return None
+
+
 def closed_form_tables(model):
     """Every closed-form level table that applies to a coupled model.
 
@@ -241,18 +254,32 @@ def closed_form_tables(model):
     variants for a shift-0 tanh profile, which raise SupercriticalError at
     or beyond the critical field. Any other model has none.
     """
+    a = _table_amplitude(model)
+    if a is None:
+        return []
     prof = model.profile
     kappa = math.hypot(model.kappa_f, model.kappa_m)
-    if model.kappa_v == 0 and isinstance(prof, TanhSechProfile):
-        return [analytic.scarf2_levels(kappa * prof.a, kappa * prof.b)]
-    if model.kappa_v == 0 and isinstance(prof, TanhProfile):
-        a = kappa * prof.amplitude
-        b = kappa * kappa * prof.amplitude * prof.shift
-        return [analytic.rosen_morse2_levels(a, b)]
-    if isinstance(prof, TanhProfile) and prof.shift == 0:
-        return list(analytic.rm2_with_field_levels(
-            prof.amplitude, model.kappa_f, model.kappa_m, model.kappa_v))
-    return []
+    if isinstance(prof, TanhSechProfile):
+        return [analytic.scarf2_levels(a, kappa * prof.b)]
+    if model.kappa_v == 0:
+        return [analytic.rosen_morse2_levels(a, kappa * kappa * prof.amplitude * prof.shift)]
+    return list(analytic.rm2_with_field_levels(
+        prof.amplitude, model.kappa_f, model.kappa_m, model.kappa_v))
+
+
+def _census_tables(model, grid):
+    """closed_form_tables(model), refused before any is built when a table
+    would list more candidates than the census operator has eigenvalues
+    (2*n_points - 1): such a table cannot be matched, and one of astronomic
+    A would take forever to list or overflow."""
+    a = _table_amplitude(model)
+    n = grid.n_points
+    # 2*ceil(a) - 1 > 2*n - 1 exactly when a > n; NaN is refused too
+    if a is not None and not a <= n:
+        raise ConfigError(f"the closed-form tables of this model (A = {a:g}) list up "
+                          f"to 2*ceil(A) - 1 candidate levels, more than the "
+                          f"{2 * n - 1} eigenvalues of the operator at grid.n_points {n}")
+    return closed_form_tables(model)
 
 
 @dataclass(frozen=True)
@@ -376,7 +403,7 @@ def run_spectrum(config):
              "the spectrum workflow handles kappa_v = 0; use 'arbitrate' for "
              "the electric-field formula contest")
     tol = config.tolerances["match_e2"]
-    census = bound_census(model, config.grid, closed_form_tables(model), tol)
+    census = bound_census(model, config.grid, _census_tables(model, config.grid), tol)
     checks = []
     table_reports = []
     for table, records, unmatched in census.matches:
@@ -486,7 +513,7 @@ def run_arbitrate(config):
              "arbitrate needs a pure tanh profile (shift 0)")
     _require(model.kappa_v != 0, "arbitrate needs kappa_v != 0")
     tol = config.tolerances["arbitrate"]
-    census = bound_census(model, config.grid, closed_form_tables(model), tol)
+    census = bound_census(model, config.grid, _census_tables(model, config.grid), tol)
     verdicts = {}
     per_table = {}
     for table, records, unmatched in census.matches:
@@ -586,10 +613,19 @@ CSV_PIPE_BYTES = 1 << 16       # bytes copied from the child's pipe per read
 
 
 def _csv_blocks(table, start, stop):
-    """The CSV bytes of rows [start, stop) of `table`, one block at a time."""
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    for lo in range(start, stop, CSV_BLOCK_ROWS):
-        block = table[lo:min(lo + CSV_BLOCK_ROWS, stop)]
+    """The CSV bytes of rows [start, stop) of `table`, one block at a time.
+
+    A column that is +0.0 on every one of these rows goes into the row
+    template as "0", which is what "%.17g" makes of +0.0; a -0.0 keeps the
+    column formatted, since it prints as "-0".
+    """
+    rows = table[start:stop]
+    keep = rows.any(axis=0) | np.signbit(rows).any(axis=0)
+    row = ",".join("%.17g" if k else "0" for k in keep) + "\r\n"
+    # a slice keeps each block a view when no column is dropped
+    cols = slice(None) if keep.all() else np.flatnonzero(keep)
+    for lo in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[lo:lo + CSV_BLOCK_ROWS, cols]
         yield (row * len(block) % tuple(block.ravel().tolist())).encode("ascii")
 
 
@@ -648,7 +684,10 @@ def write_wavefunction_csv(path, psi):
     Rows are formatted a block at a time, one string and one write per
     block, so memory stays bounded: the text this process holds is one
     block long at any grid size, where one string for the whole file would
-    take several times the float table.
+    take several times the float table. A column that is +0.0 on every row
+    a process formats is written as the literal "0" (see _csv_blocks): the
+    upper component of a zero mode is real and the lower one imaginary, so
+    two of its six columns are, and they cost no formatting.
 
     From CSV_SPLIT_ROWS rows on, where os.fork exists, a forked child formats
     the second half while this process formats the first, and this process

@@ -6,10 +6,11 @@ lives in the sigma_y basis w = (psi1 + i psi2)/sqrt2, u = (psi1 - i psi2)/sqrt2,
 where it is real symmetric with the physical spectrum. `assemble_dirac`
 builds the staggered chain the census workflows solve: w on the nodes, u on
 the midpoints, interleaved, so it is tridiagonal and needs no regulator.
-`assemble_wilson` builds the per-node Wilson band the library tests and the
-residual diagnostics use, index 2j holding w_j and 2j + 1 holding u_j; it is
-tridiagonal at r = 1, and `band_dense` expands it for the dense solve that
-other r need.
+`assemble_wilson` builds the per-node Wilson band the library tests use,
+index 2j holding w_j and 2j + 1 holding u_j; it is tridiagonal at r = 1, and
+`band_dense` expands it for the dense solve that other r need. `band_matvec`
+is the product the eigensolver takes its residuals with; the residual
+diagnostics of numerics need no band.
 """
 
 import numpy as np

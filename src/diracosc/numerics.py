@@ -11,12 +11,15 @@ It has one condition: once h * |m| reaches 2, its lattice band drops below
 the continuum edge, so it refuses such grids.
 `build_dirac` keeps both components on every node with antisymmetric central
 differences plus an optional second-difference regulator (strength r) that
-lifts the lattice doubler branch by 2r/h; the reference tests use it, and
-residual diagnostics run it at r = 0 so they measure the continuum equation.
-The second-order operator is tridiagonal, and so are the staggered chain and
-the r = 1 per-node band: all go to one call of LAPACK's tridiagonal solver.
-Only a per-node band at r != 1 builds a dense matrix. `_physical` maps the
-per-node sigma_y rows back to the physical (psi1, psi2) components.
+lifts the lattice doubler branch by 2r/h; the reference tests use it.
+The residual diagnostics (`dirac_residual`, `reconstruct_spinor`) apply its
+r = 0 stencil directly to the physical (psi1, psi2) samples, so they measure
+the continuum equation without assembling a band. The second-order
+operator is tridiagonal, and so are the staggered chain and the r = 1
+per-node band: all go to one call of LAPACK's tridiagonal solver. Only a
+per-node band at r != 1 builds a dense matrix. `_physical` maps the
+per-node sigma_y rows of its eigenvectors back to the physical (psi1, psi2)
+components.
 
 A windowed or k-smallest tridiagonal solve has two stages. Bisection
 (stebz) stops at sqrt(eps_mach)*||T||, with ||T|| bounded by
@@ -399,14 +402,22 @@ def schrodinger_continuum_edge(reduced, grid):
     return float(np.min(np.real(reduced.w_tilde(ends)) ** 2))
 
 
+def _central(psi, h):
+    """Central difference of nodal samples, zero outside the box."""
+    d = np.empty_like(psi)
+    d[1:-1] = psi[2:] - psi[:-2]
+    d[0], d[-1] = psi[1], -psi[-2]
+    d /= 2.0 * h
+    return d
+
+
 def _dirac_minus_e(f, m, v, h, psi1, psi2, energy):
-    """(H - E) psi at r = 0 on physical components, via the sigma_y band."""
-    x = np.empty(2 * len(psi1), dtype=complex)
-    x[0::2] = (psi1 + 1j * psi2) / math.sqrt(2.0)
-    x[1::2] = (psi1 - 1j * psi2) / math.sqrt(2.0)
-    # E enters like v, on both diagonals
-    y = _physical(kernels.band_matvec(kernels.assemble_wilson(f, m, v - energy, h, 0.0), x))
-    return y[0::2], y[1::2]
+    """(H - E) psi at r = 0 on physical components, with D = _central:
+    r1 = (v - E + m) psi1 + i (f psi2 - D psi2),
+    r2 = (v - E - m) psi2 - i (f psi1 + D psi1)."""
+    r1 = (v - energy + m) * psi1 + 1j * (f * psi2 - _central(psi2, h))
+    r2 = (v - energy - m) * psi2 - 1j * (f * psi1 + _central(psi1, h))
+    return r1, r2
 
 
 def dirac_residual(profiles, psi, energy, jump_mask=True):
@@ -419,11 +430,16 @@ def dirac_residual(profiles, psi, energy, jump_mask=True):
     VanishingSpinorError (a ValueError) when psi has no probability mass on
     the nodes left, as on a grid too coarse to keep any.
     """
-    grid = psi.grid
-    x = grid.nodes
+    x = psi.grid.nodes
     f = _sample(profiles.f, x)
     m = _sample(profiles.m, x)
     v = _sample(profiles.v, x)
+    return _sampled_residual(f, m, v, psi, energy, jump_mask)
+
+
+def _sampled_residual(f, m, v, psi, energy, jump_mask=True):
+    """dirac_residual for f, m, v already sampled on the nodes of psi."""
+    grid = psi.grid
     r1, r2 = _dirac_minus_e(f, m, v, grid.spacing, psi.upper, psi.lower,
                             float(energy))
     n = grid.n_points

@@ -87,7 +87,9 @@ def zero_mode_quadrature(model, grid):
     signs of lambda*W at the box ends, where the profiles have saturated).
     When neither sign works the result is returned with normalizable=False
     and both candidates' decay rates in the metadata; a supercritical model
-    raises instead since lambda is no longer real.
+    raises instead since lambda is no longer real. W is sampled once: the
+    metadata's dirac_residual takes f, m, v = kappa*W from that sample, the
+    same floats numerics.dirac_residual(model.general(), ...) would sample.
     """
     pair_plus, pair_minus = susy.spin_eigensystem(
         model.kappa_f, model.kappa_m, model.kappa_v, zero_energy_variant=True
@@ -111,12 +113,13 @@ def zero_mode_quadrature(model, grid):
             expo -= expo.max()                   # overflow guard; rescaled below
             phi = np.exp(expo)
             psi = SpinorField(grid, pair.chi[0] * phi, pair.chi[1] * phi).normalize()
+            f, m, v = (kappa * w for kappa in (model.kappa_f, model.kappa_m, model.kappa_v))
             meta = {
                 "sigma": pair.sigma,
                 "lambda": lam,
                 "chi": pair.chi,
                 "candidates": tried,
-                "dirac_residual": numerics.dirac_residual(model.general(), psi, 0.0),
+                "dirac_residual": numerics._sampled_residual(f, m, v, psi, 0.0),
             }
             return ZeroModeResult(psi, "quadrature", True, rates, meta)
     zero = np.zeros(grid.n_points, dtype=complex)

@@ -165,6 +165,12 @@ def test_parse_config_validation():
 
 STEP_MODEL = {"type": "step", "f_plus": 3.0, "f_minus": 3.0, "m_plus": 4.0,
               "m_minus": 4.0}
+# kappa_m = 0 keeps the staggered chain below its lattice threshold at any kappa_f
+HUGE_F_MODEL = {"type": "coupled", "kappa_f": 3000.0, "kappa_m": 0.0, "kappa_v": 0.0,
+                "profile": {"type": "tanh", "amplitude": 1.0}}
+TABLE_REFUSAL = ("the closed-form tables of this model (A = {}) list up to 2*ceil(A) - 1 "
+                 "candidate levels, more than the 401 eigenvalues of the operator at "
+                 "grid.n_points 201")
 
 
 def test_parse_config_builds_typed_values():
@@ -231,11 +237,19 @@ def test_parse_config_builds_typed_values():
     ({"model": {**base_config()["model"],
                 "profile": {"type": "tanh", "amplitude": -10**400}}},
      f"model.profile.amplitude must be a number, got {-10**400}"),
+    # a closed-form table of 2*ceil(A) - 1 candidates was listed before any
+    # check: 5999 levels against 401 eigenvalues ran and exited 2, and at
+    # A = 1e200 the table overflowed in a traceback
+    ({"model": HUGE_F_MODEL}, TABLE_REFUSAL.format("3000")),
+    ({"model": {**HUGE_F_MODEL, "kappa_f": 1e200}}, TABLE_REFUSAL.format("1e+200")),
+    ({"workflow": "arbitrate", "model": {**HUGE_F_MODEL, "kappa_v": 1.0}},
+     TABLE_REFUSAL.format("3000")),
 ], ids=["tolerance-typo", "kapa_v", "enrgy", "kappa_v_value", "kappa_f-true",
         "half_length-true", "schema-true", "lambda-true", "match_e2-true", "wilson_r-true",
         "f_plus-string", "amplitude-string", "output_dir-number", "exponent-float",
         "profile-type", "step-spectrum", "spectrum-field", "energy-window",
-        "n_points-huge", "kappa_f-overflow", "amplitude-overflow"])
+        "n_points-huge", "kappa_f-overflow", "amplitude-overflow", "table-3000",
+        "table-1e200", "arbitrate-table-3000"])
 def test_refused_config_writes_nothing(tmp_path, capsys, overrides, message):
     # each of these used to run anyway, end in a traceback, stop with a wrong
     # message, or stop only after the output directory had been made
@@ -399,16 +413,46 @@ def test_wavefunction_csv_matches_csv_writer(tmp_path, n_points):
     assert b",-0,-0," in (tmp_path / "mirrored.csv").read_bytes()
 
 
+def half_zero_fields(psi):
+    """Spinors whose columns are all +0.0 in one half of the split only, or
+    mix +0.0 with -0.0 in the child's half."""
+    n = psi.grid.n_points
+    child = np.arange(n) >= n // 2
+    re1, im2 = psi.upper.real, psi.lower.imag
+    fields = {}
+    # im_psi1 zero in the parent's half, re_psi2 zero in the child's
+    upper, lower = np.empty(n, complex), np.empty(n, complex)
+    upper.real, upper.imag = re1, np.where(child, 0.5 * re1, 0.0)
+    lower.real, lower.imag = np.where(child, 0.0, 0.25 * im2), im2
+    fields["half-zero"] = SpinorField(psi.grid, upper, lower)
+    # im_psi1 +0.0 everywhere but for some -0.0 in the child's half, re_psi2
+    # but for its last row
+    upper, lower = np.zeros(n, complex), np.zeros(n, complex)
+    upper.real, lower.imag = re1, im2
+    upper.imag[n // 2 + 7::97] = -0.0
+    lower.real[-1] = -0.0
+    fields["signed-zero"] = SpinorField(psi.grid, upper, lower)
+    return fields
+
+
 @pytest.mark.parametrize("n_points", [BELOW_SPLIT, AT_SPLIT, 24001])
 def test_split_wavefunction_csv_matches_csv_writer(tmp_path, n_points):
     # one process below CSV_SPLIT_ROWS, a forked child for the second half
-    # from there on; the mirrored step mode puts "-0" in the child's half
+    # from there on; the mirrored step mode puts "-0" in the child's half;
+    # columns that are +0.0 on every row of one half only, or mix +0.0 and
+    # -0.0 in the child's half, are formatted per half
     fields = {"quadrature": quadrature_mode(n_points)}
     if n_points == AT_SPLIT:
         psi = step_match(StepMatchProblem(3.0, 3.0, 4.0, 4.0), Grid(5.0, n_points)).psi
         fields["mirrored"] = SpinorField(psi.grid, np.conj(psi.upper), -psi.lower)
+        fields.update(half_zero_fields(fields["quadrature"]))
     for name, field in fields.items():
         assert_matches_reference(tmp_path, name, field)
+    if n_points == AT_SPLIT:
+        text = (tmp_path / "signed-zero.csv").read_bytes().split(b"\r\n")
+        half = len(text) // 2
+        assert all(b",-0," not in line for line in text[:half])
+        assert any(b",-0," in line for line in text[half:])
 
 
 @pytest.mark.parametrize("call", ["pipe", "fork"])
@@ -535,6 +579,24 @@ def test_zeromode_quadrature_workflow(tmp_path):
     report = json.loads((tmp_path / "zeromode_report.json").read_text())
     assert report["results"]["mechanism"] == "quadrature"
     assert report["results"]["normalizable"] is True
+
+
+@pytest.mark.parametrize("model, grid", [
+    ({"type": "coupled", "kappa_f": 0.6, "kappa_m": 0.8, "kappa_v": 0.0,
+      "profile": {"type": "tanh_power", "exponent": 3, "shift": 0.5}},
+     {"half_length": 24.0, "n_points": 24001}),
+    (STEP_MODEL, {"half_length": 5.0, "n_points": 8001}),
+], ids=["readme-quadrature", "step"])
+def test_zeromode_residuals_build_no_band(tmp_path, monkeypatch, model, grid):
+    # the residual diagnostics apply their stencil to the spinor directly
+    def no_band(*args):
+        raise AssertionError("band built or applied for a zero-mode residual")
+
+    monkeypatch.setattr(kernels, "assemble_wilson", no_band)
+    monkeypatch.setattr(kernels, "band_matvec", no_band)
+    doc = base_config(workflow="zeromode", model=model, grid=grid)
+    code, _ = run(parse_config(doc), out_dir=str(tmp_path))
+    assert code == 0
 
 
 def test_zeromode_transformed_reports_construction_failure(tmp_path):

@@ -47,14 +47,12 @@ def sigma_y_map(n):
 @given(
     n=st.integers(3, 40),
     r=st.floats(0.0, 2.0),
-    energy=st.floats(-5.0, 5.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_apply_matches_assembled_matrix(n, r, energy, seed):
-    # random profiles and spinor on a small grid: the sigma_y band mapped to
-    # physical components is the complex stencil, its entries are the closed
-    # forms, the band product is the dense product, and the matrix-free
-    # (H - E) psi agrees with it, end stencils included
+def test_apply_matches_assembled_matrix(n, r, seed):
+    # random profiles on a small grid: the sigma_y band mapped to physical
+    # components is the complex stencil, its entries are the closed forms,
+    # and the band product is the dense product
     rng = np.random.default_rng(seed)
     h = 20.0 / (n - 1)
     f, m, v = rng.uniform(-5.0, 5.0, size=(3, n))
@@ -79,6 +77,19 @@ def test_apply_matches_assembled_matrix(n, r, energy, seed):
         assert np.allclose(kernels.band_matvec(b, block[:, 0]), ref[:, 0],
                            atol=1e-12, rtol=0)
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    h=st.floats(0.05, 2.0),
+    energy=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dirac_minus_e_is_the_dense_stencil(n, h, energy, seed):
+    # the residual stencil on (psi1, psi2) against the dense r = 0 matrix,
+    # end stencils included, for random profiles and a complex spinor
+    rng = np.random.default_rng(seed)
+    f, m, v = rng.uniform(-5.0, 5.0, size=(3, n))
     p1 = rng.normal(size=n) + 1j * rng.normal(size=n)
     p2 = rng.normal(size=n) + 1j * rng.normal(size=n)
     vec = np.empty(2 * n, dtype=complex)

@@ -15,7 +15,7 @@ from diracosc.errors import (
     SupercriticalError,
 )
 from diracosc.model import CoupledModel, Grid, LinearProfile, TanhPowerProfile, TanhProfile
-from diracosc.numerics import build_schrodinger, eigensolve
+from diracosc.numerics import build_schrodinger, dirac_residual, eigensolve
 from diracosc.model import ScalarField
 from diracosc.zeromodes import (
     StepMatchProblem,
@@ -109,6 +109,19 @@ def test_quadrature_dirac_residual():
     g = Grid(24.0, 24001)
     mode = zero_mode_quadrature(model, g)
     assert mode.metadata["dirac_residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("model, grid", [
+    (CoupledModel(0.6, 0.8, 0.0, TanhPowerProfile(3, shift=0.5)), Grid(24.0, 201)),
+    (CoupledModel(0.6, 0.8, 0.0, TanhPowerProfile(3, shift=0.5)), Grid(24.0, 24001)),
+    (CoupledModel(0.6, 0.8, 0.3, TanhProfile(1.0)), Grid(20.0, 201)),
+])
+def test_quadrature_residual_is_the_general_model_residual(model, grid):
+    # the residual from the quadrature's own profile sample is, to the last
+    # bit, the one dirac_residual takes from the three profiles of general()
+    mode = zero_mode_quadrature(model, grid)
+    expected = dirac_residual(model.general(), mode.psi, 0.0)
+    assert mode.metadata["dirac_residual"] == expected
 
 
 def test_quadrature_sigma_exclusivity():
