@@ -82,8 +82,9 @@ def _is_integer(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value):
-    """An int or float that a float can hold; booleans are not numbers."""
+def _is_real(value):
+    """An int or float that a float can hold, NaN and infinities included;
+    booleans are not numbers."""
     if not (_is_integer(value) or isinstance(value, float)):
         return False
     try:
@@ -93,6 +94,11 @@ def _is_number(value):
     return True
 
 
+def _is_number(value):
+    """A finite real: json reads NaN, Infinity and -Infinity as floats."""
+    return _is_real(value) and math.isfinite(value)
+
+
 # kind -> (test, what the value must be; "{!r}" shows the value given)
 _KINDS = {
     "number": (_is_number, "a number, got {!r}"),
@@ -100,7 +106,9 @@ _KINDS = {
     "boolean": (lambda v: isinstance(v, bool), "true or false, got {!r}"),
     "string": (lambda v: isinstance(v, str), "a string, got {!r}"),
     "object": (lambda v: isinstance(v, dict), "an object"),
-    "number list": (lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+    # a NaN or infinite entry is refused where the list is used: by
+    # TabulatedProfile, which names the table, and by the sweep parse
+    "number list": (lambda v: isinstance(v, list) and v and all(map(_is_real, v)),
                     "a non-empty list of numbers"),
 }
 
@@ -209,7 +217,8 @@ def parse_config(doc):
     sweep = doc.get("sweep", {})
     _check_block(sweep, "sweep.", "sweep", CONFIG_KEYS["sweep"])
     fields = tuple(float(v) for v in sweep.get("kappa_v_values", ()))
-    _require(all(v >= 0 for v in fields), "kappa_v_values must be >= 0")
+    _require(all(0 <= v < math.inf for v in fields),
+             "kappa_v_values must be finite and >= 0")
     steps = sweep.get("steps", 7)
     _require(steps >= 2, "sweep.steps must be >= 2")
     model = _model_from_dict(doc["model"])

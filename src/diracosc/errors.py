@@ -58,6 +58,17 @@ class SupercriticalError(DiracOscError):
         )
 
 
+class CouplingOverflowError(DiracOscError, ValueError):
+    """kappa_f^2 + kappa_m^2 - kappa_v^2 overflows to infinity or NaN."""
+
+    def __init__(self, kappa_f, kappa_m, kappa_v):
+        super().__init__(
+            f"kappa_f^2 + kappa_m^2 - kappa_v^2 is not finite at kappa_f = "
+            f"{kappa_f:g}, kappa_m = {kappa_m:g}, kappa_v = {kappa_v:g}; the "
+            "couplings are too large"
+        )
+
+
 class DegenerateSpinorError(DiracOscError):
     """A spinor component relation divides by (numerically) zero."""
 

@@ -32,6 +32,17 @@ other get one Rayleigh-Ritz step together, which separates pairs split
 below the bisection tolerance. The full-spectrum call does no bisection
 and keeps LAPACK's values.
 
+An index solve (one Schrodinger pair, what each Newton step of
+`selfconsistent_level` reads) bisects and iterates for that pair alone,
+not for every pair below it as the k = index + 1 solve does. A lone pair
+has no neighbour to share a Rayleigh-Ritz step with, and inverse
+iteration can return the vector of a neighbour closer than the bisection
+tolerance with a residual as small as its own. So the pair is kept only
+when its residual is at most LONE_RESIDUAL_TOL*||T|| and a Sturm count
+over twice the bisection tolerance around it finds one eigenvalue;
+otherwise the solve falls back to the k = index + 1 solve and returns its
+last pair.
+
 scipy.linalg is imported inside the eigensolver, so the first eigensolve
 loads it; zero-mode constructions, report rechecks and runs that stop at a
 config error need numpy alone and start faster.
@@ -69,6 +80,9 @@ ZERO_OUTPUT_TOL = 1e-2
 # tolerances keeps residuals near 1e-13 * ||T|| from inverse iteration alone)
 BISECT_TOL = math.sqrt(np.finfo(float).eps)
 GROUP_TOLS = 1000.0
+# eigensolve, index selection: residual above which a lone pair is redone
+# with the pairs below it (isolated pairs leave about 0.3 eps * ||T||)
+LONE_RESIDUAL_TOL = 10.0 * np.finfo(float).eps
 # selfconsistent_level: energy step that ends the Newton loop, and its
 # iteration budget
 FIXED_POINT_TOL = 1e-10
@@ -239,63 +253,121 @@ def _rayleigh_refine(vals, vecs, tv, group_gap):
     return vals, vecs, tv
 
 
-def eigensolve(matrix, k=None, window=None):
+def _pairs(band, select, select_range, norm):
+    """Bisected values, values, unit vectors and band residuals of one
+    selection (see eigensolve).
+
+    norm is the max|d| + 2*max|e| bound on ||T|| of a tridiagonal band and
+    None for a band that is solved densely.
+    """
+    import scipy.linalg
+
+    try:
+        if norm is not None:
+            tol = BISECT_TOL * norm
+            vals, vecs = scipy.linalg.eigh_tridiagonal(
+                band[0], band[1, :-1], select=select, select_range=select_range,
+                tol=tol
+            )
+        else:
+            # only a Dirac band is dense, so select_range is a window or None
+            vals, vecs = scipy.linalg.eigh(
+                kernels.band_dense(band), subset_by_value=select_range,
+                overwrite_a=True
+            )
+    except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
+        raise RuntimeError(f"eigensolver did not converge: {err}") from err
+    bisected = vals
+    tv = kernels.band_matvec(band, vecs)
+    if norm is not None and select != "a":
+        vals, vecs, tv = _rayleigh_refine(vals, vecs, tv, GROUP_TOLS * tol)
+    return bisected, vals, vecs, np.linalg.norm(tv - vecs * vals, axis=0)
+
+
+def _is_pair(band, bisected, value, residual, norm):
+    """Whether a pair solved alone belongs to the eigenvalue it was bisected to.
+
+    Bisection puts that eigenvalue within tol = BISECT_TOL*||T|| of
+    `bisected`, and the pair's value (its Rayleigh quotient) lies within its
+    residual of some eigenvalue. When the residual is at most
+    LONE_RESIDUAL_TOL*||T||, the value is within tol of `bisected`, and a
+    Sturm count finds exactly one eigenvalue within 2*tol of `bisected`, the
+    two eigenvalues are one. The residual alone does not tell: a neighbour
+    closer than tol can hand inverse iteration its own vector, whose
+    residual is as small as any.
+    """
+    import scipy.linalg
+
+    tol = BISECT_TOL * norm
+    if not (residual <= LONE_RESIDUAL_TOL * norm and abs(value - bisected) <= tol):
+        return False
+    # LAPACK's range "V" (1 here) on (lo, hi]: a tolerance wider than the
+    # interval counts the eigenvalues in it without bisecting them
+    count, _, _, _, info = scipy.linalg.lapack.dstebz(
+        band[0], band[1, :-1], 1, bisected - 2.0 * tol, bisected + 2.0 * tol, 1, 1,
+        norm, "E"
+    )
+    return info == 0 and count == 1
+
+
+def eigensolve(matrix, k=None, window=None, index=None):
     """Eigenpairs of an assembled operator with the h-weighted normalization.
 
-    Schrodinger: the k algebraically smallest pairs (all when k is None),
-    from the tridiagonal band. Dirac: the pairs in `window=(lo, hi]`, or the
-    full spectrum when window is None. A band with nothing beyond its first
-    subdiagonal (Schrodinger, staggered Dirac, or per-node Dirac at r = 1)
-    goes to LAPACK's tridiagonal solver; a per-node band at any other r is
-    solved densely. A
-    windowed or k-smallest tridiagonal solve bisects only to
-    BISECT_TOL*||T|| and then takes each value as the Rayleigh quotient of
-    its vector, with one Rayleigh-Ritz step per group of values closer than
-    GROUP_TOLS bisection tolerances (see _rayleigh_refine). Residuals are
-    taken on the stored band; per-node Dirac vectors are returned as
-    physical (psi1, psi2) rows, staggered ones as their (w, u) chain. Values
-    are in ascending order.
+    Schrodinger: the k algebraically smallest pairs (all when k and index
+    are None), or the one pair at 0-based `index`. Dirac: the pairs in
+    `window=(lo, hi]`, or the full spectrum when window is None. A band with
+    nothing beyond its first subdiagonal (Schrodinger, staggered Dirac, or
+    per-node Dirac at r = 1) goes to LAPACK's tridiagonal solver; a per-node
+    band at any other r is solved densely. A windowed, k-smallest or index
+    tridiagonal solve bisects only to BISECT_TOL*||T|| and then takes each
+    value as the Rayleigh quotient of its vector, with one Rayleigh-Ritz
+    step per group of values closer than GROUP_TOLS bisection tolerances
+    (see _rayleigh_refine). An index solve bisects and iterates for that
+    pair alone, so a neighbour closer than the bisection tolerance has no
+    Rayleigh-Ritz step to be separated in. The lone pair is kept only when
+    its residual is at most LONE_RESIDUAL_TOL*||T|| and one Sturm count ties
+    it to `index` (see _is_pair); otherwise the solve returns pair `index`
+    of the k = index + 1 solve, bit for bit. Residuals are taken on the
+    stored band; per-node Dirac vectors are returned as physical
+    (psi1, psi2) rows, staggered ones as their (w, u) chain. Values are in
+    ascending order.
     """
     band = matrix.storage
     dim = band.shape[1]
     is_dirac = isinstance(matrix, DiracMatrix)
-    if is_dirac and k is not None:
-        raise ValueError("k selects Schrodinger levels; pass a window for a Dirac matrix")
+    if is_dirac and (k is not None or index is not None):
+        raise ValueError("k and index select Schrodinger levels; pass a window "
+                         "for a Dirac matrix")
     if not is_dirac and window is not None:
-        raise ValueError("window selects Dirac pairs; pass k for a Schrodinger matrix")
+        raise ValueError("window selects Dirac pairs; pass k or index for a "
+                         "Schrodinger matrix")
+    if k is not None and index is not None:
+        raise ValueError("pass k or index, not both")
     if k is not None and k < 1:
         raise ValueError(f"k={k} must be at least 1")
     if k is not None and k > dim:
         raise ValueError(f"k={k} exceeds matrix dimension {dim}")
+    if index is not None and not 0 <= index < dim:
+        raise ValueError(f"index={index} must be from 0 to {dim - 1}")
     if window is not None and not window[0] < window[1]:
         raise ValueError(f"window {window} must satisfy lo < hi")
-    import scipy.linalg
 
     select, select_range = "a", None
     if k is not None:
         select, select_range = "i", (0, k - 1)
+    elif index is not None:
+        select, select_range = "i", (index, index)
     elif window is not None:
         select, select_range = "v", window
-    tridiagonal = not band[2:].any()
-    try:
-        if tridiagonal:
-            diag, off = band[0], band[1, :-1]
-            # max|d| + 2*max|e| bounds ||T||
-            norm = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)
-            tol = BISECT_TOL * norm
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                diag, off, select=select, select_range=select_range, tol=tol
-            )
-        else:
-            vals, vecs = scipy.linalg.eigh(
-                kernels.band_dense(band), subset_by_value=window, overwrite_a=True
-            )
-    except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
-        raise RuntimeError(f"eigensolver did not converge: {err}") from err
-    tv = kernels.band_matvec(band, vecs)
-    if tridiagonal and select != "a":
-        vals, vecs, tv = _rayleigh_refine(vals, vecs, tv, GROUP_TOLS * tol)
-    res = np.linalg.norm(tv - vecs * vals, axis=0)
+    norm = None
+    if not band[2:].any():
+        # max|d| + 2*max|e| bounds ||T||
+        norm = np.abs(band[0]).max() + 2.0 * np.abs(band[1, :-1]).max(initial=0.0)
+    bisected, vals, vecs, res = _pairs(band, select, select_range, norm)
+    # at index 0 the lone pair is the k = 1 solve already
+    if index and not _is_pair(band, bisected[0], vals[0], res[0], norm):
+        _, vals, vecs, res = _pairs(band, "i", (0, index), norm)
+        vals, vecs, res = vals[index:], vecs[:, index:], res[index:]
     if dim == 2 * matrix.grid.n_points:
         vecs = _physical(vecs)
     vecs = _fix_phase(vecs / math.sqrt(matrix.grid.spacing))
@@ -512,12 +584,15 @@ def selfconsistent_level(model, sigma, level, grid, seed_energy):
     the plain fixed-point step E <- F(E) when eps = 0, when 1 - F' = 0, or
     when the Newton value is not finite or leaves the seed's branch (pure
     Newton was seen to cycle near the critical field). At kappa_v = 0,
-    F' = 0 and every step is the plain one. Returns (energy, eps,
-    iterations). Seeds of opposite sign probe the two branches. Raises
-    RuntimeError when the loop fails to settle, and BoxStateError when it
-    settles at an eps that is not below the continuum edge of the last
-    reduced problem (`schrodinger_continuum_edge`, at an E within
-    FIXED_POINT_TOL of the returned one): that level is a state of the box.
+    F' = 0 and every step is the plain one. Each step solves for the one
+    pair at `level` (eigensolve's `index`, which falls back to the
+    k = level + 1 solve when a neighbour is too close to vouch for the lone
+    pair). Returns (energy, eps, iterations). Seeds of opposite sign probe
+    the two branches. Raises RuntimeError when the loop fails to settle,
+    and BoxStateError when it settles at an eps that is not below the
+    continuum edge of the last reduced problem
+    (`schrodinger_continuum_edge`, at an E within FIXED_POINT_TOL of the
+    returned one): that level is a state of the box.
     """
     energy, eps, iterations, red = _newton_level(model, sigma, level, grid,
                                                  seed_energy)
@@ -539,15 +614,15 @@ def _newton_level(model, sigma, level, grid, seed_energy):
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
         red = susy_reduce(model, sigma, energy=E)
         pot = ScalarField(grid, red.effective_potential(grid.nodes))
-        res = eigensolve(build_schrodinger(pot), k=level + 1)
-        eps = float(res.values[level])
+        res = eigensolve(build_schrodinger(pot), index=level)
+        eps = float(res.values[0])
         if eps < 0:
             raise RuntimeError(f"level {level} has negative eps={eps:g}")
         coeff = red.epsilon_coefficient
         E_new = sgn * math.sqrt(eps / coeff)
         if eps > 0:
             dv = 2.0 * model.kappa_v / red.scale * red.w_tilde(grid.nodes)
-            deps = grid.spacing * float(np.sum(res.vectors[:, level] ** 2 * dv))
+            deps = grid.spacing * float(np.sum(res.vectors[:, 0] ** 2 * dv))
             dfde = sgn * deps / (2.0 * math.sqrt(coeff * eps))
             if dfde != 1.0:
                 newton = (E_new - E * dfde) / (1.0 - dfde)

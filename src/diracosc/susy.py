@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import SupercriticalError
+from .errors import CouplingOverflowError, SupercriticalError
 from .model import CoupledModel
 
 
@@ -47,6 +47,15 @@ class ReducedProblem:
     def effective_potential(self, x):
         wt = self.w_tilde(x)
         return wt * wt - self.sigma * self.w_tilde_prime(x)
+
+
+def _radicand(kf, km, kv):
+    """kf^2 + km^2 - kv^2; CouplingOverflowError when it is infinite or NaN,
+    which leaves no eigenvalue, shift or scale to report."""
+    rad = kf * kf + km * km - kv * kv
+    if not math.isfinite(rad):
+        raise CouplingOverflowError(kf, km, kv)
+    return rad
 
 
 def coupling_matrix(kf, km, kv, zero_energy_variant=False):
@@ -117,11 +126,12 @@ def spin_eigensystem(kf, km, kv, zero_energy_variant=False):
 
     Supercritical couplings return complex eigenvalues flagged via
     `subcritical=False` instead of raising, so sweeps can cross the
-    transition.
+    transition. Couplings whose squares overflow raise
+    CouplingOverflowError (a ValueError).
     """
     if kf == 0 and km == 0 and kv == 0:
         raise ValueError("all couplings zero: the coupling matrix vanishes")
-    rad = kf * kf + km * km - kv * kv
+    rad = _radicand(kf, km, kv)
     sub = rad > 0
     root = math.sqrt(rad) if sub else cmath.sqrt(complex(rad))
     pairs = []
@@ -139,10 +149,11 @@ def reduce(model, sigma, energy=0.0):
 
     For kv = 0 the energy argument is inert (the shift vanishes) and
     eps = E^2 exactly. Supercritical or exactly-critical couplings raise
-    SupercriticalError.
+    SupercriticalError, and couplings whose squares overflow raise
+    CouplingOverflowError.
     """
     kf, km, kv = model.kappa_f, model.kappa_m, model.kappa_v
-    rad = kf * kf + km * km - kv * kv
+    rad = _radicand(kf, km, kv)
     if not rad > 0:
         raise SupercriticalError(kv, critical_field(kf, km))
     return ReducedProblem(

@@ -244,12 +244,34 @@ def test_parse_config_builds_typed_values():
     ({"model": {**HUGE_F_MODEL, "kappa_f": 1e200}}, TABLE_REFUSAL.format("1e+200")),
     ({"workflow": "arbitrate", "model": {**HUGE_F_MODEL, "kappa_v": 1.0}},
      TABLE_REFUSAL.format("3000")),
+    # json reads NaN and +-Infinity: an infinite match_e2 passed every level
+    # (exit 0), an infinite field ended in a traceback, and an infinite box
+    # in numpy warnings and a misleading non-finite-profile error
+    ({"tolerances": {"match_e2": math.inf}},
+     "tolerances.match_e2 must be a number, got inf"),
+    ({"workflow": "sweep", "sweep": {"kappa_v_values": [0.0, math.inf]}},
+     "kappa_v_values must be finite and >= 0"),
+    ({"grid": {"half_length": math.inf, "n_points": 201}},
+     "grid.half_length must be a number, got inf"),
+    ({"model": {**base_config()["model"], "kappa_m": -math.inf}},
+     "model.kappa_m must be a number, got -inf"),
+    ({"model": {**base_config()["model"], "kappa_f": math.nan}},
+     "model.kappa_f must be a number, got nan"),
+    # kappa_f^2 overflows: the report held NaN and Infinity and exited 2
+    ({"workflow": "zeromode",
+      "model": {**base_config()["model"], "kappa_f": 1e200, "kappa_m": 0.0,
+                "profile": {"type": "tanh_power", "exponent": 3, "shift": 0.5}},
+      "grid": {"half_length": 24.0, "n_points": 201}},
+     "kappa_f^2 + kappa_m^2 - kappa_v^2 is not finite at kappa_f = 1e+200, "
+     "kappa_m = 0, kappa_v = 0; the couplings are too large"),
 ], ids=["tolerance-typo", "kapa_v", "enrgy", "kappa_v_value", "kappa_f-true",
         "half_length-true", "schema-true", "lambda-true", "match_e2-true", "wilson_r-true",
         "f_plus-string", "amplitude-string", "output_dir-number", "exponent-float",
         "profile-type", "step-spectrum", "spectrum-field", "energy-window",
         "n_points-huge", "kappa_f-overflow", "amplitude-overflow", "table-3000",
-        "table-1e200", "arbitrate-table-3000"])
+        "table-1e200", "arbitrate-table-3000", "match_e2-infinity",
+        "kappa_v_values-infinity", "half_length-infinity", "kappa_m-minus-infinity",
+        "kappa_f-nan", "zeromode-kappa_f-1e200"])
 def test_refused_config_writes_nothing(tmp_path, capsys, overrides, message):
     # each of these used to run anyway, end in a traceback, stop with a wrong
     # message, or stop only after the output directory had been made
@@ -923,6 +945,8 @@ def test_recheck_bad_report_exit_code(tmp_path, capsys):
     ({"value": None}, "value and tolerance must be numbers"),
     ({"tolerance": True}, "value and tolerance must be numbers"),
     ({"value": 10**400}, "value and tolerance must be numbers"),   # was OverflowError
+    ({"value": math.nan}, "value and tolerance must be numbers"),
+    ({"tolerance": math.inf}, "value and tolerance must be numbers"),
 ])
 def test_recheck_rejects_malformed_check(tmp_path, capsys, broken, message):
     # a missing key, an unknown op or a non-number is one error line, not a

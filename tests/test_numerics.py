@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracosc import kernels
+from diracosc import kernels, numerics
 from diracosc.cli import bound_census
 from diracosc.errors import BoxStateError, DiracOscError, ZeroOutputError
 from diracosc.model import (
@@ -23,6 +23,7 @@ from diracosc.model import (
     TanhProfile,
 )
 from diracosc.numerics import (
+    LONE_RESIDUAL_TOL,
     DiracMatrix,
     _newton_level,
     build_dirac,
@@ -568,6 +569,97 @@ def test_reconstruct_spinor_zero_energy_ground_state_raises():
         reconstruct_spinor(phi, chi, model, 0.0)
 
 
+def band_norm(matrix):
+    """The max|d| + 2*max|e| bound on ||T|| that eigensolve bisects against."""
+    band = matrix.storage
+    return np.abs(band[0]).max() + 2.0 * np.abs(band[1, :-1]).max(initial=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 200),
+    h=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    wells=st.booleans(),
+    first=st.integers(0, 199),
+)
+def test_index_solve_is_pair_index_of_the_k_solve(n, h, seed, wells, first):
+    # rough random samples, or two mirror wells whose pairs can be split
+    # below any tolerance (and then leave the vector undetermined)
+    rng = np.random.default_rng(seed)
+    grid = Grid(h * (n - 1) / 2.0, n)
+    if wells:
+        samples = 0.5 * (np.abs(grid.nodes) - rng.uniform(0.0, grid.half_length)) ** 2
+    else:
+        samples = rng.uniform(-50.0, 50.0, size=n)
+    matrix = build_schrodinger(ScalarField(grid, samples))
+    i = min(first, n - 1)
+    one = eigensolve(matrix, index=i)
+    ref = eigensolve(matrix, k=i + 1)
+    norm = band_norm(matrix)
+    assert len(one.values) == len(one.residuals) == one.vectors.shape[1] == 1
+    assert abs(one.values[0] - ref.values[i]) <= 1e-12 * norm
+    # a lone pair is kept only when it is accurate; else it is the k solve's
+    assert one.residuals[0] <= max(LONE_RESIDUAL_TOL * norm, ref.residuals[i])
+    full = scipy.linalg.eigvalsh_tridiagonal(matrix.storage[0], matrix.storage[1, :-1])
+    gap = np.min(np.abs(np.delete(full, i) - full[i]), initial=np.inf)
+    if gap > 1e-6 * norm:
+        overlap = h * abs(np.dot(one.vectors[:, 0], ref.vectors[:, i]))
+        assert abs(overlap - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("a", [2.0, 2.5])
+def test_index_solve_falls_back_on_a_double_well(monkeypatch, a):
+    # V = (x^2 - a^2)^2 splits its lowest pair by 1.5e-3 (a = 2) and 1.1e-7
+    # (a = 2.5); pair 1 alone leaves a residual of 4.5e-6 and 5.4e-8, so the
+    # solve is redone with pair 0 and returns the k = 2 solve's pair 1
+    g = Grid(8.0, 2001)
+    matrix = build_schrodinger(ScalarField(g, (g.nodes**2 - a * a) ** 2))
+    ref = eigensolve(matrix, k=2)
+    solve, ranges = scipy.linalg.eigh_tridiagonal, []
+
+    def spy(*args, **kwargs):
+        ranges.append(kwargs["select_range"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    one = eigensolve(matrix, index=1)
+    assert ranges == [(1, 1), (0, 1)]
+    assert np.array_equal(one.values, ref.values[1:])
+    assert np.array_equal(one.vectors, ref.vectors[:, 1:])
+    assert np.array_equal(one.residuals, ref.residuals[1:])
+
+
+def test_index_solve_does_not_return_a_neighbours_pair():
+    # pairs 9 and 10 of these wells lie 1.3e-9*||T|| apart, below the
+    # bisection tolerance. Pair 10 solved alone came back as pair 9, with a
+    # residual of 0.04 eps*||T||, so only the Sturm count sends this solve
+    # to k = 11, whose Rayleigh-Ritz step separates the two
+    g = Grid(34.797408463560025, 75)
+    samples = 0.5 * (np.abs(g.nodes) - 0.7286477821341782) ** 2
+    matrix = build_schrodinger(ScalarField(g, samples))
+    ref = scipy.linalg.eigvalsh_tridiagonal(matrix.storage[0], matrix.storage[1, :-1])
+    one = eigensolve(matrix, index=10)
+    assert abs(one.values[0] - ref[10]) <= 1e-12 * band_norm(matrix)
+    assert np.array_equal(one.values, eigensolve(matrix, k=11).values[10:])
+
+
+def test_index_selection_is_refused_where_it_means_nothing():
+    g = Grid(10.0, 201)
+    matrix = build_schrodinger(ScalarField(g, g.nodes**2))
+    with pytest.raises(ValueError, match="not both"):
+        eigensolve(matrix, k=2, index=1)
+    with pytest.raises(ValueError, match="window selects Dirac pairs"):
+        eigensolve(matrix, window=(0.0, 2.0), index=1)
+    with pytest.raises(ValueError, match="index select Schrodinger levels"):
+        eigensolve(build_dirac(scarf_model().general(), g), index=1)
+    for index in (-1, 201, 202):
+        with pytest.raises(ValueError, match=f"index={index} must be from 0 to 200"):
+            eigensolve(matrix, index=index)
+    top = eigensolve(matrix, index=200).values[0]
+    assert abs(top - eigensolve(matrix).values[200]) <= 1e-12 * band_norm(matrix)
+
+
 def test_selfconsistent_level_matches_composed_formula():
     model = CoupledModel(3.0, 4.0, 2.0, TanhProfile(1.0))
     g = Grid(20.0, 2001)
@@ -634,10 +726,27 @@ def test_selfconsistent_level_without_field_settles_in_two_steps():
     g = Grid(20.0, 1201)
     energy, eps, iters = selfconsistent_level(model, +1, 1, g, seed_energy=1.0)
     assert iters == 2
+    # the loop's own solve: pair 1 alone
     res = eigensolve(build_schrodinger(
-        ScalarField(g, reduce(model, +1).effective_potential(g.nodes))), k=2)
-    assert eps == res.values[1]
-    assert energy == math.sqrt(res.values[1])
+        ScalarField(g, reduce(model, +1).effective_potential(g.nodes))), index=1)
+    assert eps == res.values[0]
+    assert energy == math.sqrt(res.values[0])
+
+
+def test_newton_steps_solve_one_pair_each(monkeypatch):
+    # each step reads one level, and the solve returns that pair alone
+    solve, pairs = numerics.eigensolve, []
+
+    def spy(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        pairs.append(len(res.values))
+        return res
+
+    monkeypatch.setattr(numerics, "eigensolve", spy)
+    model = CoupledModel(3.0, 4.0, 2.0, TanhProfile(1.0))
+    _, _, iters = selfconsistent_level(model, +1, 1, Grid(20.0, 2001), 1.0)
+    assert iters == 4
+    assert pairs == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("kappa_v, level, seed", [(4.0, 1, 1.0), (4.9, 2, 0.5)])
