@@ -153,17 +153,8 @@ def profile_from_dict(spec, path="profile"):
         raise ConfigError(f"bad {kind} profile: {err}") from err
 
 
-@dataclass(frozen=True)
-class StepModel:
-    """A step-profile zero-mode model: its matching problem and sign flips."""
-
-    problem: zeromodes.StepMatchProblem
-    flip_f: bool = False
-    flip_m: bool = False
-
-
 def _model_from_dict(spec):
-    """A CoupledModel, StepModel or valid TransformedPotentialParameters."""
+    """A CoupledModel, StepMatchProblem or valid TransformedPotentialParameters."""
     kind, values = _typed_block(spec, "model", "model")
     if kind == "transformed_potential":
         params = analytic.transformed_potential_parameters(float(values["lambda"]),
@@ -172,10 +163,10 @@ def _model_from_dict(spec):
         return params
     try:
         if kind == "step":
-            flips = {key: values.pop(key) for key in ("flip_f", "flip_m") if key in values}
-            problem = zeromodes.StepMatchProblem(
-                **{key: float(val) for key, val in values.items()})
-            return StepModel(problem, **flips)
+            # the flips are booleans, which are never numbers
+            return zeromodes.StepMatchProblem(
+                **{key: val if isinstance(val, bool) else float(val)
+                   for key, val in values.items()})
         return CoupledModel(float(values["kappa_f"]), float(values["kappa_m"]),
                             float(values["kappa_v"]),
                             profile_from_dict(values["profile"], "model.profile"))
@@ -186,7 +177,7 @@ def _model_from_dict(spec):
 @dataclass(frozen=True)
 class RunConfig:
     workflow: str
-    model: object              # CoupledModel, StepModel or TransformedPotentialParameters
+    model: object              # CoupledModel, StepMatchProblem, TransformedPotentialParameters
     grid: Grid
     wilson_r: object           # as given (a float), or None; no workflow uses it
     tolerances: dict
@@ -242,53 +233,39 @@ def parse_config(doc):
 # ---------------------------------------------------------------------------
 # shared numeric helpers
 
-def _table_amplitude(model):
-    """The A of the closed-form tables that apply to a coupled model (the
-    largest, when there are two), or None when none does. A table lists at
-    most 2*ceil(A) - 1 candidate levels."""
-    prof = model.profile
-    kappa = math.hypot(model.kappa_f, model.kappa_m)
-    if model.kappa_v == 0 and isinstance(prof, TanhSechProfile):
-        return kappa * prof.a
-    if isinstance(prof, TanhProfile) and (model.kappa_v == 0 or prof.shift == 0):
-        return kappa * prof.amplitude
-    return None
-
-
-def closed_form_tables(model):
+def closed_form_tables(model, grid):
     """Every closed-form level table that applies to a coupled model.
 
     At kappa_v = 0: Scarf II for a tanh_sech profile and Rosen-Morse II for
     a tanh one (shifted or not). At kappa_v != 0: both electric-field
     variants for a shift-0 tanh profile, which raise SupercriticalError at
-    or beyond the critical field. Any other model has none.
+    or beyond the critical field. Any other model has none. A table of
+    amplitude A lists at most 2*ceil(A) - 1 candidate levels; ConfigError
+    refuses the model, before any table is built, when that is more than
+    the 2*n_points - 1 eigenvalues of the census operator on `grid`: such a
+    table cannot be matched, and one of astronomic A would take forever to
+    list or overflow.
     """
-    a = _table_amplitude(model)
-    if a is None:
-        return []
     prof = model.profile
     kappa = math.hypot(model.kappa_f, model.kappa_m)
+    if model.kappa_v == 0 and isinstance(prof, TanhSechProfile):
+        a = kappa * prof.a
+    elif isinstance(prof, TanhProfile) and (model.kappa_v == 0 or prof.shift == 0):
+        a = kappa * prof.amplitude
+    else:
+        return []
+    n = grid.n_points
+    # 2*ceil(a) - 1 > 2*n - 1 exactly when a > n; NaN is refused too
+    if not a <= n:
+        raise ConfigError(f"the closed-form tables of this model (A = {a:g}) list up "
+                          f"to 2*ceil(A) - 1 candidate levels, more than the "
+                          f"{2 * n - 1} eigenvalues of the operator at grid.n_points {n}")
     if isinstance(prof, TanhSechProfile):
         return [analytic.scarf2_levels(a, kappa * prof.b)]
     if model.kappa_v == 0:
         return [analytic.rosen_morse2_levels(a, kappa * kappa * prof.amplitude * prof.shift)]
     return list(analytic.rm2_with_field_levels(
         prof.amplitude, model.kappa_f, model.kappa_m, model.kappa_v))
-
-
-def _census_tables(model, grid):
-    """closed_form_tables(model), refused before any is built when a table
-    would list more candidates than the census operator has eigenvalues
-    (2*n_points - 1): such a table cannot be matched, and one of astronomic
-    A would take forever to list or overflow."""
-    a = _table_amplitude(model)
-    n = grid.n_points
-    # 2*ceil(a) - 1 > 2*n - 1 exactly when a > n; NaN is refused too
-    if a is not None and not a <= n:
-        raise ConfigError(f"the closed-form tables of this model (A = {a:g}) list up "
-                          f"to 2*ceil(A) - 1 candidate levels, more than the "
-                          f"{2 * n - 1} eigenvalues of the operator at grid.n_points {n}")
-    return closed_form_tables(model)
 
 
 @dataclass(frozen=True)
@@ -412,8 +389,9 @@ def run_spectrum(config):
              "the spectrum workflow handles kappa_v = 0; use 'arbitrate' for "
              "the electric-field formula contest")
     tol = config.tolerances["match_e2"]
-    census = bound_census(model, config.grid, _census_tables(model, config.grid), tol)
-    checks = []
+    census = bound_census(model, config.grid, closed_form_tables(model, config.grid), tol)
+    # a model without a table has nothing its levels are matched against
+    checks = [] if census.matches else [_check("closed_form_table_applies", 0.0, 0.5, "ge")]
     table_reports = []
     for table, records, unmatched in census.matches:
         table_reports.append({
@@ -456,10 +434,9 @@ def run_zeromode(config):
             return results, checks, artifacts
     if isinstance(model, CoupledModel):
         mode = zeromodes.zero_mode_quadrature(model, grid)
-    else:   # a StepModel
+    else:   # a StepMatchProblem
         try:
-            mode = zeromodes.step_match(model.problem, grid,
-                                        flip_f=model.flip_f, flip_m=model.flip_m)
+            mode = zeromodes.step_match(model, grid)
         except ValueError as err:   # energy outside the decaying window
             raise ConfigError(str(err)) from err
         if mode is None:
@@ -522,7 +499,7 @@ def run_arbitrate(config):
              "arbitrate needs a pure tanh profile (shift 0)")
     _require(model.kappa_v != 0, "arbitrate needs kappa_v != 0")
     tol = config.tolerances["arbitrate"]
-    census = bound_census(model, config.grid, _census_tables(model, config.grid), tol)
+    census = bound_census(model, config.grid, closed_form_tables(model, config.grid), tol)
     verdicts = {}
     per_table = {}
     for table, records, unmatched in census.matches:

@@ -12,14 +12,14 @@ the continuum edge, so it refuses such grids.
 `build_dirac` keeps both components on every node with antisymmetric central
 differences plus an optional second-difference regulator (strength r) that
 lifts the lattice doubler branch by 2r/h; the reference tests use it.
-The residual diagnostics (`dirac_residual`, `reconstruct_spinor`) apply its
-r = 0 stencil directly to the physical (psi1, psi2) samples, so they measure
-the continuum equation without assembling a band. The second-order
-operator is tridiagonal, and so are the staggered chain and the r = 1
-per-node band: all go to one call of LAPACK's tridiagonal solver. Only a
-per-node band at r != 1 builds a dense matrix. `_physical` maps the
-per-node sigma_y rows of its eigenvectors back to the physical (psi1, psi2)
-components.
+The second-order operator is tridiagonal, and so are the staggered chain
+and the r = 1 per-node band: all go to one call of LAPACK's tridiagonal
+solver. Only a per-node band at r != 1 builds a dense matrix. Either way
+every eigenvector is real: the (w, u) chain of the band that was solved.
+The residual diagnostics (`dirac_residual`, `reconstruct_spinor`) apply
+the per-node r = 0 stencil to f, m, v sampled on the nodes and directly to
+the physical (psi1, psi2) samples of a spinor, so they measure the
+continuum equation without assembling a band.
 
 A windowed or k-smallest tridiagonal solve has two stages. Bisection
 (stebz) stops at sqrt(eps_mach)*||T||, with ||T|| bounded by
@@ -105,10 +105,12 @@ class SchrodingerMatrix:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Eigenpairs in ascending eigenvalue order, h-normalized vectors.
+    """Eigenpairs in ascending eigenvalue order, real h-normalized vectors.
 
-    kind is "dirac" (interleaved two-component vectors) or "schrodinger".
-    bound_flags default to False until classify_bound runs.
+    kind is "dirac" or "schrodinger". A Dirac vector is the sigma_y-basis
+    (w, u) chain of its band: w_j, u_j at rows 2j, 2j + 1 per node, or u on
+    the midpoint after node j on the staggered chain. bound_flags default
+    to False until classify_bound runs.
     """
 
     kind: str
@@ -127,7 +129,7 @@ class EigenResult:
     def node_density(self, i):
         """Per-node probability of eigenvector i (components summed for dirac;
         on the staggered chain node j takes the midpoint to its right)."""
-        p = np.abs(self.vectors[:, i]) ** 2
+        p = self.vectors[:, i] ** 2
         if self.kind == "dirac":
             p = np.append(p, [0.0] * (len(p) % 2))   # the last node has no midpoint
             p = p[0::2] + p[1::2]
@@ -201,22 +203,11 @@ def build_schrodinger(potential):
 
 
 def _fix_phase(vectors):
-    """Deterministic phase: largest-magnitude entry of each column real-positive."""
+    """Deterministic sign: largest-magnitude entry of each column positive."""
     piv = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    # a zero column has a zero pivot and keeps its phase
-    vectors *= np.divide(np.abs(piv), piv, out=np.ones_like(piv), where=piv != 0)
+    # a zero column has a zero pivot and keeps its sign
+    vectors *= np.where(piv < 0, -1.0, 1.0)
     return vectors
-
-
-def _physical(x):
-    """Interleaved physical rows (psi1, psi2) from sigma_y-basis rows (w, u).
-
-    Inverts w = (psi1 + i psi2)/sqrt2, u = (psi1 - i psi2)/sqrt2 node by node.
-    """
-    out = np.empty(x.shape, dtype=complex)
-    out[0::2] = (x[0::2] + x[1::2]) / math.sqrt(2.0)
-    out[1::2] = 1j * ((x[1::2] - x[0::2]) / math.sqrt(2.0))
-    return out
 
 
 def _rayleigh_refine(vals, vecs, tv, group_gap):
@@ -328,9 +319,9 @@ def eigensolve(matrix, k=None, window=None, index=None):
     its residual is at most LONE_RESIDUAL_TOL*||T|| and one Sturm count ties
     it to `index` (see _is_pair); otherwise the solve returns pair `index`
     of the k = index + 1 solve, bit for bit. Residuals are taken on the
-    stored band; per-node Dirac vectors are returned as physical
-    (psi1, psi2) rows, staggered ones as their (w, u) chain. Values are in
-    ascending order.
+    stored band, and every vector is returned as the real chain of that
+    band: a Dirac vector in its sigma_y-basis (w, u) rows (see
+    EigenResult). Values are in ascending order.
     """
     band = matrix.storage
     dim = band.shape[1]
@@ -368,8 +359,6 @@ def eigensolve(matrix, k=None, window=None, index=None):
     if index and not _is_pair(band, bisected[0], vals[0], res[0], norm):
         _, vals, vecs, res = _pairs(band, "i", (0, index), norm)
         vals, vecs, res = vals[index:], vecs[:, index:], res[index:]
-    if dim == 2 * matrix.grid.n_points:
-        vecs = _physical(vecs)
     vecs = _fix_phase(vecs / math.sqrt(matrix.grid.spacing))
     return EigenResult(
         kind="dirac" if is_dirac else "schrodinger",
@@ -404,14 +393,13 @@ def _resolve_cluster(result, idx):
     vecs = result.vectors[:, idx]
     left, right = _outer_rows(result)
     sub = vecs[left | right, :]
-    gram = sub.conj().T @ sub
-    _, rot = np.linalg.eigh(gram)
+    _, rot = np.linalg.eigh(sub.T @ sub)
     mixed = vecs @ rot
     h = result.grid.spacing
-    mixed /= np.sqrt(np.sum(np.abs(mixed) ** 2, axis=0) * h)
+    mixed /= np.sqrt(np.sum(mixed ** 2, axis=0) * h)
     lam = result.values[idx]
-    ray = np.real(np.sum(np.abs(rot) ** 2 * lam[:, None], axis=0))
-    spread = np.sqrt(np.sum(np.abs(rot) ** 2 * (lam[:, None] - ray) ** 2, axis=0))
+    ray = np.sum(rot ** 2 * lam[:, None], axis=0)
+    spread = np.sqrt(np.sum(rot ** 2 * (lam[:, None] - ray) ** 2, axis=0))
     order = np.argsort(ray, kind="stable")
     result.vectors[:, idx] = _fix_phase(mixed[:, order])
     result.values[idx] = ray[order]
@@ -442,7 +430,7 @@ def classify_bound(result, continuum_edge):
     for cluster in np.split(cand, gaps):
         if len(cluster) > 1:
             _resolve_cluster(out, cluster)
-    density = np.abs(out.vectors[:, cand]) ** 2
+    density = out.vectors[:, cand] ** 2
     total = density.sum(axis=0)
     left, right = _outer_rows(out)
     sides = np.stack([density[left].sum(axis=0), density[right].sum(axis=0)])
@@ -492,25 +480,17 @@ def _dirac_minus_e(f, m, v, h, psi1, psi2, energy):
     return r1, r2
 
 
-def dirac_residual(profiles, psi, energy, jump_mask=True):
+def dirac_residual(f, m, v, psi, energy, jump_mask=True):
     """|| (H - E) psi || / || psi || with H matrix-free at r = 0.
 
-    The outer EXCLUDE_FRAC of nodes on each side is ignored (boundary
-    stencils), as are nodes straddling a profile discontinuity when
-    jump_mask is set: the continuum equation holds one-sidedly at a jump and
-    a central difference across it measures nothing. Raises
-    VanishingSpinorError (a ValueError) when psi has no probability mass on
-    the nodes left, as on a grid too coarse to keep any.
+    f, m and v are the profiles sampled on the nodes of psi. The outer
+    EXCLUDE_FRAC of nodes on each side is ignored (boundary stencils), as
+    are nodes straddling a profile discontinuity when jump_mask is set: the
+    continuum equation holds one-sidedly at a jump and a central difference
+    across it measures nothing. Raises VanishingSpinorError (a ValueError)
+    when psi has no probability mass on the nodes left, as on a grid too
+    coarse to keep any.
     """
-    x = psi.grid.nodes
-    f = _sample(profiles.f, x)
-    m = _sample(profiles.m, x)
-    v = _sample(profiles.v, x)
-    return _sampled_residual(f, m, v, psi, energy, jump_mask)
-
-
-def _sampled_residual(f, m, v, psi, energy, jump_mask=True):
-    """dirac_residual for f, m, v already sampled on the nodes of psi."""
     grid = psi.grid
     r1, r2 = _dirac_minus_e(f, m, v, grid.spacing, psi.upper, psi.lower,
                             float(energy))

@@ -36,13 +36,7 @@ from .errors import (
     DegenerateSpinorError,
     SupercriticalError,
 )
-from .model import (
-    CustomProfile,
-    GeneralProfiles,
-    ScalarField,
-    SpinorField,
-    StepProfile,
-)
+from .model import ScalarField, SpinorField
 
 # relative mismatch of the two component ratios up to which match_interface
 # accepts the interface condition
@@ -60,13 +54,17 @@ class ZeroModeResult:
 
 @dataclass(frozen=True)
 class StepMatchProblem:
-    """Two-sided constant oscillator/mass magnitudes and a trial energy."""
+    """Two-sided constant oscillator/mass magnitudes, a trial energy and
+    the sign arrangement: flip_f / flip_m negate the respective profile
+    globally, which covers the four arrangements with one code path."""
 
     f_plus: float
     f_minus: float
     m_plus: float
     m_minus: float
     energy: float = 0.0
+    flip_f: bool = False
+    flip_m: bool = False
 
     def __post_init__(self):
         # the oscillator magnitudes may vanish (pure mass kink); the mass
@@ -87,9 +85,9 @@ def zero_mode_quadrature(model, grid):
     signs of lambda*W at the box ends, where the profiles have saturated).
     When neither sign works the result is returned with normalizable=False
     and both candidates' decay rates in the metadata; a supercritical model
-    raises instead since lambda is no longer real. W is sampled once: the
-    metadata's dirac_residual takes f, m, v = kappa*W from that sample, the
-    same floats numerics.dirac_residual(model.general(), ...) would sample.
+    raises instead since lambda is no longer real. W is sampled once, and
+    the metadata's dirac_residual is numerics.dirac_residual of
+    f, m, v = kappa*W from that sample (the floats model.general() gives).
     """
     pair_plus, pair_minus = susy.spin_eigensystem(
         model.kappa_f, model.kappa_m, model.kappa_v, zero_energy_variant=True
@@ -119,7 +117,7 @@ def zero_mode_quadrature(model, grid):
                 "lambda": lam,
                 "chi": pair.chi,
                 "candidates": tried,
-                "dirac_residual": numerics._sampled_residual(f, m, v, psi, 0.0),
+                "dirac_residual": numerics.dirac_residual(f, m, v, psi, 0.0),
             }
             return ZeroModeResult(psi, "quadrature", True, rates, meta)
     zero = np.zeros(grid.n_points, dtype=complex)
@@ -138,7 +136,7 @@ def _signed_step(plus, minus, flip):
     return sign * plus, sign * (-minus)
 
 
-def match_interface(problem, flip_f=False, flip_m=False):
+def match_interface(problem):
     """Scalar continuity condition for two-sided constant profiles.
 
     The exterior solutions decay like exp(-lambda_plus x) and
@@ -146,8 +144,8 @@ def match_interface(problem, flip_f=False, flip_m=False):
     collapses to one condition on the component ratios. Returns None when
     the residual exceeds MATCH_TOL, else (constant, ratio, lambda_plus,
     lambda_minus) where `constant` normalizes the mode exactly on the line
-    and psi1/psi2 = i*ratio. flip_f / flip_m negate the respective profile
-    globally, covering the four sign arrangements with one code path.
+    and psi1/psi2 = i*ratio. The problem's flip_f / flip_m pick the sign
+    arrangement.
     """
     E = problem.energy
     lam_p = problem.f_plus**2 + problem.m_plus**2 - E * E
@@ -156,8 +154,8 @@ def match_interface(problem, flip_f=False, flip_m=False):
         raise ValueError("need E^2 < f^2 + m^2 on both sides for decaying solutions")
     lam_p, lam_m = math.sqrt(lam_p), math.sqrt(lam_m)
 
-    f_r, f_l = _signed_step(problem.f_plus, problem.f_minus, flip_f)
-    m_r, m_l = _signed_step(problem.m_plus, problem.m_minus, flip_m)
+    f_r, f_l = _signed_step(problem.f_plus, problem.f_minus, problem.flip_f)
+    m_r, m_l = _signed_step(problem.m_plus, problem.m_minus, problem.flip_m)
 
     den_r = E - m_r
     den_l = m_l - E
@@ -176,16 +174,18 @@ def match_interface(problem, flip_f=False, flip_m=False):
     return const, ratio_r, lam_p, lam_m
 
 
-def step_match(problem, grid, flip_f=False, flip_m=False):
+def step_match(problem, grid):
     """Matched step-profile mode on a grid, or None when no solution exists.
 
     Phase convention: the upper component is real (positive for the
     standard sign arrangement), the lower imaginary. The closed-form
     normalization constant is kept in the metadata while the returned field
     is renormalized on the grid (the Riemann sum across the kink differs
-    from the exact integral at order (lambda*h)^2).
+    from the exact integral at order (lambda*h)^2). The metadata's
+    dirac_residual is numerics.dirac_residual of the signed steps sampled
+    on the nodes (the values of a StepProfile) with v = 0.
     """
-    matched = match_interface(problem, flip_f=flip_f, flip_m=flip_m)
+    matched = match_interface(problem)
     if matched is None:
         return None
     const, ratio, lam_p, lam_m = matched
@@ -197,13 +197,9 @@ def step_match(problem, grid, flip_f=False, flip_m=False):
     raw = SpinorField(grid, upper, lower)
     psi = raw.normalize()
 
-    sf = -1.0 if flip_f else 1.0
-    sm = -1.0 if flip_m else 1.0
-    profiles = GeneralProfiles(
-        f=StepProfile(sf * problem.f_plus, sf * problem.f_minus),
-        m=StepProfile(sm * problem.m_plus, sm * problem.m_minus),
-        v=CustomProfile(lambda xx: np.zeros_like(np.asarray(xx, float)), name="zero"),
-    )
+    right = x >= 0
+    f = np.where(right, *_signed_step(problem.f_plus, problem.f_minus, problem.flip_f))
+    m = np.where(right, *_signed_step(problem.m_plus, problem.m_minus, problem.flip_m))
     meta = {
         "normalization_constant": const,
         "component_ratio": ratio,
@@ -211,7 +207,8 @@ def step_match(problem, grid, flip_f=False, flip_m=False):
         "lambda_minus": lam_m,
         "grid_norm_of_closed_form": raw.norm_squared,
         "energy": problem.energy,
-        "dirac_residual": numerics.dirac_residual(profiles, psi, problem.energy),
+        "dirac_residual": numerics.dirac_residual(f, m, np.zeros_like(x), psi,
+                                                  problem.energy),
     }
     return ZeroModeResult(psi, "interface_matching", True, (lam_m, lam_p), meta)
 

@@ -18,7 +18,6 @@ import pytest
 from diracosc import analytic, cli, kernels, numerics
 from diracosc.cli import (
     CSV_SPLIT_ROWS,
-    StepModel,
     bound_census,
     closed_form_tables,
     config_warnings,
@@ -113,7 +112,7 @@ def test_profile_rejects_keys_its_type_does_not_take(tmp_path, capsys, spec, unk
 ], ids=["tanh", "shifted-tanh", "tanh_sech", "tanh-field", "shifted-tanh-field",
         "tanh_sech-field", "linear", "linear-field", "tanh_power"])
 def test_closed_form_tables_lookup(model, tables):
-    found = closed_form_tables(CoupledModel(3.0, 4.0, **model))
+    found = closed_form_tables(CoupledModel(3.0, 4.0, **model), Grid(20.0, 201))
     assert [table.formula_id for table in found] == tables
 
 
@@ -186,8 +185,7 @@ def test_parse_config_builds_typed_values():
     assert listed.sweep_fields == (0.0, 2.5)
     step = parse_config(base_config(workflow="zeromode",
                                     model={**STEP_MODEL, "energy": 0.5, "flip_m": True}))
-    assert step.model == StepModel(StepMatchProblem(3.0, 3.0, 4.0, 4.0, energy=0.5),
-                                   flip_m=True)
+    assert step.model == StepMatchProblem(3.0, 3.0, 4.0, 4.0, energy=0.5, flip_m=True)
     transformed = parse_config(base_config(
         workflow="zeromode", model={"type": "transformed_potential", "lambda": 3, "n": 1}))
     assert transformed.model == analytic.transformed_potential_parameters(3.0, 1)
@@ -293,6 +291,27 @@ def test_spectrum_workflow_passes(tmp_path):
     assert tables[0]["formula_id"] == "rosen_morse2"
     matched = [lvl["analytic_e2"] for lvl in tables[0]["levels"] if lvl["matched"]]
     assert sorted(set(round(v) for v in matched)) == [0, 7, 12, 15]
+
+
+def test_spectrum_without_a_table_fails_its_one_check(tmp_path, capsys):
+    # a model no closed-form table covers has nothing to match its levels
+    # against: one failed check, exit 2, and recheck agrees with the run
+    model = {"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
+             "profile": {"type": "tanh_power", "exponent": 3}}
+    doc = base_config(model=model, grid={"half_length": 20.0, "n_points": 2001})
+    del doc["wilson_r"]
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "spectrum_report.json").read_text())
+    assert report["checks"] == [{"name": "closed_form_table_applies", "value": 0.0,
+                                 "tolerance": 0.5, "op": "ge", "passed": False}]
+    assert report["results"]["analytic_tables"] == []
+    assert not report["passed"]
+    capsys.readouterr()
+    assert main(["run", "--recheck", str(tmp_path / "spectrum_report.json")]) == 2
+    out = capsys.readouterr().out
+    assert "[recheck] overall: FAIL" in out
+    assert "disagrees" not in out
 
 
 def test_spectrum_rejects_field_coupling(tmp_path):
@@ -724,7 +743,8 @@ def test_ac5_sweep_counts_the_closed_form_levels(tmp_path):
     assert code == 0
     with open(report_path) as handle:
         counts = [row["bound_count"] for row in json.load(handle)["results"]["steps"]]
-    expected = [len(closed_form_tables(replace(config.model, kappa_v=kv))[-1].entries)
+    expected = [len(closed_form_tables(replace(config.model, kappa_v=kv),
+                                       config.grid)[-1].entries)
                 if kv < 5.0 else 0 for kv in fields]
     assert expected == [9, 5, 1, 1, 0, 0]
     assert counts == expected

@@ -56,6 +56,12 @@ def scarf_model(scale=0.8):
     return CoupledModel(3.0, 4.0, 0.0, TanhProfile(scale))
 
 
+def sampled(profiles, grid):
+    """(f, m, v) of `profiles` on the nodes of `grid`, as dirac_residual takes them."""
+    return tuple(np.asarray(prof.value(grid.nodes), dtype=float)
+                 for prof in (profiles.f, profiles.m, profiles.v))
+
+
 def physical_dirac(matrix):
     """The physical operator P dense(band) P^dagger, P = I (x) [[1, 1], [-i, i]]/sqrt2."""
     n = matrix.storage.shape[1] // 2
@@ -117,18 +123,26 @@ def test_eigensolve_contract_residual_and_ordering():
 def test_eigensolve_explicit_two_by_two():
     # the solver contract on the smallest Dirac operator: three free nodes at
     # r = 0 give sigma_x times the 3-point central difference, with
-    # eigenvalues 0 (twice) and +-1/(sqrt(2) h) (twice each)
+    # eigenvalues 0 (twice) and +-1/(sqrt(2) h) (twice each); the staggered
+    # chain of the same nodes is a free chain of five sites with bonds
+    # +-1/h, eigenvalues 0 and +-1/h, +-sqrt(3)/h. Both return real (w, u)
+    # vectors of the stored band.
     g = Grid(1.0, 3)
     profiles = GeneralProfiles(zero_profile(), zero_profile(), zero_profile())
-    matrix = build_dirac(profiles, g, wilson_r=0.0)
-    res = eigensolve(matrix)
-    top = 1.0 / (math.sqrt(2.0) * g.spacing)
-    assert res.values == pytest.approx([-top, -top, 0.0, 0.0, top, top], abs=1e-12)
-    assert np.all(res.residuals <= 1e-12)
-    H = physical_dirac(matrix)
-    for i, lam in enumerate(res.values):
-        v = res.vectors[:, i] * math.sqrt(g.spacing)
-        assert np.linalg.norm(H @ v - lam * v) <= 1e-12
+    top = 1.0 / g.spacing
+    for matrix, expected in (
+            (build_dirac(profiles, g, wilson_r=0.0),
+             [-top / math.sqrt(2.0)] * 2 + [0.0] * 2 + [top / math.sqrt(2.0)] * 2),
+            (build_staggered(profiles, g),
+             [-math.sqrt(3.0) * top, -top, 0.0, top, math.sqrt(3.0) * top])):
+        res = eigensolve(matrix)
+        assert res.values == pytest.approx(expected, abs=1e-12)
+        assert np.all(res.residuals <= 1e-12)
+        assert res.vectors.dtype == float
+        H = kernels.band_dense(matrix.storage)
+        for i, lam in enumerate(res.values):
+            v = res.vectors[:, i] * math.sqrt(g.spacing)
+            assert np.linalg.norm(H @ v - lam * v) <= 1e-12
 
 
 def random_dirac(n, h, r, seed, v_scale=5.0):
@@ -150,12 +164,13 @@ def random_dirac(n, h, r, seed, v_scale=5.0):
     count=st.integers(0, 120),
 )
 def test_r1_eigensolve_matches_dense_reference(n, h, seed, full, first, count):
-    # r = 1 solves on the tridiagonal sigma_y form; the reference is the dense
-    # physical operator. Window edges sit midway between reference eigenvalues
-    # (or beyond the ends), so membership in (lo, hi] is unambiguous.
+    # r = 1 solves on the tridiagonal sigma_y form; the reference is the
+    # dense matrix of the same band, whose real (w, u) vectors the solve
+    # returns. Window edges sit midway between reference eigenvalues (or
+    # beyond the ends), so membership in (lo, hi] is unambiguous.
     matrix = random_dirac(n, h, 1.0, seed)
-    H = physical_dirac(matrix)
-    ref = np.linalg.eigvalsh(kernels.band_dense(matrix.storage))
+    H = kernels.band_dense(matrix.storage)
+    ref = np.linalg.eigvalsh(H)
     tol = 1e-12 * max(1.0, np.max(np.abs(ref)))
     if full:
         window, expected = None, ref
@@ -170,6 +185,7 @@ def test_r1_eigensolve_matches_dense_reference(n, h, seed, full, first, count):
     res = eigensolve(matrix, window=window)
     assert res.values.shape == expected.shape
     assert np.all(np.abs(res.values - expected) <= tol)
+    assert res.vectors.dtype == float
     x = res.vectors * math.sqrt(h)
     assert np.allclose(np.linalg.norm(x, axis=0), 1.0, atol=1e-12, rtol=0)
     assert np.all(np.linalg.norm(H @ x - x * res.values, axis=0) <= tol)
@@ -506,12 +522,12 @@ def test_dirac_residual_zero_mode_and_negative_control():
     x = g.nodes
     phi = 1.0 / np.cosh(x) ** 4          # exact zero mode of the 4tanh shape
     psi = SpinorField(g, pairs[0].chi[0] * phi, pairs[0].chi[1] * phi).normalize()
-    res = dirac_residual(model.general(), psi, 0.0)
+    res = dirac_residual(*sampled(model.general(), g), psi, 0.0)
     assert res <= 1e-6
     rng = np.random.default_rng(3)
     junk = SpinorField(g, rng.normal(size=x.size) + 0j,
                        rng.normal(size=x.size) + 0j).normalize()
-    assert dirac_residual(model.general(), junk, 0.0) > 1.0
+    assert dirac_residual(*sampled(model.general(), g), junk, 0.0) > 1.0
 
 
 def test_dirac_residual_masks_step_kink():
@@ -522,8 +538,8 @@ def test_dirac_residual_masks_step_kink():
     psi = SpinorField(g, 2.0 * env + 0j, 1j * env).normalize()
     profiles = GeneralProfiles(StepProfile(3.0, 3.0), StepProfile(4.0, 4.0),
                                zero_profile())
-    masked = dirac_residual(profiles, psi, 0.0)
-    raw = dirac_residual(profiles, psi, 0.0, jump_mask=False)
+    masked = dirac_residual(*sampled(profiles, g), psi, 0.0)
+    raw = dirac_residual(*sampled(profiles, g), psi, 0.0, jump_mask=False)
     # the kink node alone dominates the unmasked figure
     assert masked < 2e-4
     assert raw > 100 * masked
@@ -531,7 +547,8 @@ def test_dirac_residual_masks_step_kink():
     g2 = Grid(5.0, 8001)
     env2 = np.exp(-lam * np.abs(g2.nodes))
     psi2 = SpinorField(g2, 2.0 * env2 + 0j, 1j * env2).normalize()
-    assert dirac_residual(profiles, psi2, 0.0) == pytest.approx(masked / 4, rel=0.15)
+    assert dirac_residual(*sampled(profiles, g2), psi2, 0.0) == pytest.approx(masked / 4,
+                                                                           rel=0.15)
 
 
 def reduced_scarf_state(g, level):
@@ -550,13 +567,13 @@ def test_reconstruct_spinor_excited_state():
     chi = spin_eigensystem(3.0, 4.0, 0.0)[0].chi
     psi = reconstruct_spinor(phi, chi, model, energy)
     assert psi.normalized
-    res = dirac_residual(model.general(), psi, energy)
+    res = dirac_residual(*sampled(model.general(), g), psi, energy)
     assert res < 5e-3
     # the residual is discretization-limited: halving h drops it ~4x
     g2 = Grid(20.0, 4001)
     model2, eps2, phi2 = reduced_scarf_state(g2, 1)
     psi2 = reconstruct_spinor(phi2, chi, model2, math.sqrt(eps2))
-    res2 = dirac_residual(model2.general(), psi2, math.sqrt(eps2))
+    res2 = dirac_residual(*sampled(model2.general(), g2), psi2, math.sqrt(eps2))
     assert res2 == pytest.approx(res / 4, rel=0.25)
 
 

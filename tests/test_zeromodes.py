@@ -14,7 +14,14 @@ from diracosc.errors import (
     DegenerateSpinorError,
     SupercriticalError,
 )
-from diracosc.model import CoupledModel, Grid, LinearProfile, TanhPowerProfile, TanhProfile
+from diracosc.model import (
+    CoupledModel,
+    Grid,
+    LinearProfile,
+    StepProfile,
+    TanhPowerProfile,
+    TanhProfile,
+)
 from diracosc.numerics import build_schrodinger, dirac_residual, eigensolve
 from diracosc.model import ScalarField
 from diracosc.zeromodes import (
@@ -120,7 +127,24 @@ def test_quadrature_residual_is_the_general_model_residual(model, grid):
     # the residual from the quadrature's own profile sample is, to the last
     # bit, the one dirac_residual takes from the three profiles of general()
     mode = zero_mode_quadrature(model, grid)
-    expected = dirac_residual(model.general(), mode.psi, 0.0)
+    profiles = model.general()
+    f, m, v = (prof.value(grid.nodes) for prof in (profiles.f, profiles.m, profiles.v))
+    assert mode.metadata["dirac_residual"] == dirac_residual(f, m, v, mode.psi, 0.0)
+
+
+@pytest.mark.parametrize("flip_f", [False, True])
+@pytest.mark.parametrize("flip_m", [False, True])
+def test_step_residual_is_the_step_profile_residual(flip_f, flip_m):
+    # the residual step_match takes from its signed steps is, to the last
+    # bit, the one dirac_residual takes from StepProfile samples of the same
+    # arrangement and v = 0
+    grid = Grid(5.0, 2001)
+    problem = StepMatchProblem(3.0, 3.0, 4.0, 4.0, flip_f=flip_f, flip_m=flip_m)
+    mode = step_match(problem, grid)
+    sf, sm = (-1.0 if flip else 1.0 for flip in (flip_f, flip_m))
+    f = StepProfile(sf * 3.0, sf * 3.0).value(grid.nodes)
+    m = StepProfile(sm * 4.0, sm * 4.0).value(grid.nodes)
+    expected = dirac_residual(f, m, np.zeros(grid.n_points), mode.psi, 0.0)
     assert mode.metadata["dirac_residual"] == expected
 
 
@@ -239,8 +263,8 @@ def test_step_match_asymmetric_mass_zero_f_still_matches():
 def test_step_match_sign_flips():
     g = Grid(5.0, 2001)
     for flips in ((False, False), (True, False), (False, True), (True, True)):
-        mode = step_match(StepMatchProblem(3.0, 3.0, 4.0, 4.0), g,
-                          flip_f=flips[0], flip_m=flips[1])
+        mode = step_match(StepMatchProblem(3.0, 3.0, 4.0, 4.0, flip_f=flips[0],
+                                           flip_m=flips[1]), g)
         assert mode is not None, flips
         assert mode.metadata["dirac_residual"] <= 1e-3
 
