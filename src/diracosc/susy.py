@@ -51,11 +51,16 @@ class ReducedProblem:
 
 def _radicand(kf, km, kv):
     """kf^2 + km^2 - kv^2; CouplingOverflowError when it is infinite or NaN,
-    which leaves no eigenvalue, shift or scale to report."""
-    rad = kf * kf + km * km - kv * kv
-    if not math.isfinite(rad):
+    which leaves no eigenvalue, shift or scale to report.
+
+    km^2 - kv^2 is returned as (km - kv)(km + kv), which is exact when
+    |km| = |kv|: summed as squares it rounds, and at kf = 4, km = kv = 1e-6
+    the root came out one ulp below 4, which left the eigenvector of the
+    then triangular matrix a residual of 2e-9.
+    """
+    if not math.isfinite(kf * kf + km * km - kv * kv):
         raise CouplingOverflowError(kf, km, kv)
-    return rad
+    return kf * kf + (km - kv) * (km + kv)
 
 
 def coupling_matrix(kf, km, kv, zero_energy_variant=False):

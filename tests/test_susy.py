@@ -113,6 +113,20 @@ def test_eigenpair_invariants_hold_generically(kf, km, kv, variant):
             assert np.linalg.norm(M @ p.chi - p.lam * p.chi) <= 1e-12
 
 
+@pytest.mark.parametrize("kv", [1e-6, -1e-6])
+@pytest.mark.parametrize("variant", [False, True])
+def test_equal_magnitude_couplings_give_the_exact_root(kv, variant):
+    # |km| = |kv| cancels km^2 - kv^2 exactly; summed as squares it rounded
+    # the root one ulp below 4 and the triangular matrix's eigenvector
+    # missed by 2e-9
+    kf, km = 4.0, 1e-6
+    pairs = spin_eigensystem(kf, km, kv, zero_energy_variant=variant)
+    M = coupling_matrix(kf, km, kv, variant)
+    assert pairs[0].lam == 4.0
+    for p in pairs:
+        assert np.linalg.norm(M @ p.chi - p.lam * p.chi) <= 1e-12
+
+
 @pytest.mark.parametrize("kf,km,kv", [
     (1.0, 1e-200, 0.0),
     (1.0, 1e-160, 0.0),
