@@ -471,7 +471,7 @@ def run_sweep(config):
         m = replace(model, kappa_v=kv)
         census = bound_census(m, config.grid, [], config.tolerances["match_e2"])
         values = census.values
-        order = np.argsort(np.abs(values))[:5]
+        order = np.argsort(np.abs(values), kind="stable")[:5]
         rows.append({
             "kappa_v": kv,
             "subcritical": susy.is_subcritical(m.kappa_f, m.kappa_m, kv),

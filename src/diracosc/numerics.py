@@ -5,7 +5,7 @@ first-order ones in the sigma_y basis (w, u) they are solved in; direct
 LAPACK eigensolves keep every run deterministic. The first-order operator
 comes in two discretizations. `build_staggered` puts w on the nodes and u on
 the midpoints: a tridiagonal chain of dimension 2N - 1 that does not split
-+-E pairs (they are exact with v = 0 and odd f, m) and has no lattice
++-E pairs (they are exact for odd f, m and v) and has no lattice
 doubler, so it needs no regulator; it is what the census workflows solve.
 It has one condition: once h * |m| reaches 2, its lattice band drops below
 the continuum edge, so it refuses such grids.
@@ -31,6 +31,13 @@ Vectors whose bisected values lie within GROUP_TOLS tolerances of each
 other get one Rayleigh-Ritz step together, which separates pairs split
 below the bisection tolerance. The full-spectrum call does no bisection
 and keeps LAPACK's values.
+
+A Dirac window (-hi, hi] of a tridiagonal band that reversal negates,
+J T J = -T to REFLECTION_TOL*||T|| (the staggered chain of odd f, m and
+v), is bisected on (-tol, hi] only, tol the bisection tolerance: the pair
+at -E is the reversed vector of the pair at E. One Sturm count of
+(-hi, hi] must equal the number of pairs returned, else the full window is
+solved.
 
 An index solve (one Schrodinger pair, what each Newton step of
 `selfconsistent_level` reads) bisects and iterates for that pair alone,
@@ -83,6 +90,10 @@ GROUP_TOLS = 1000.0
 # eigensolve, index selection: residual above which a lone pair is redone
 # with the pairs below it (isolated pairs leave about 0.3 eps * ||T||)
 LONE_RESIDUAL_TOL = 10.0 * np.finfo(float).eps
+# eigensolve, symmetric Dirac windows: a band within REFLECTION_TOL * ||T|| of
+# odd under reversal solves E >= 0 only (Weyl: the gap moves no eigenvalue by
+# more than about 3 * REFLECTION_TOL * ||T||)
+REFLECTION_TOL = 10.0 * np.finfo(float).eps
 # selfconsistent_level: energy step that ends the Newton loop, and its
 # iteration budget
 FIXED_POINT_TOL = 1e-10
@@ -275,6 +286,20 @@ def _pairs(band, select, select_range, norm):
     return bisected, vals, vecs, np.linalg.norm(tv - vecs * vals, axis=0)
 
 
+def _sturm_count(band, lo, hi):
+    """Eigenvalues of a tridiagonal band in (lo, hi], None if LAPACK fails.
+
+    LAPACK's range "V" (1 here) with a tolerance wider than the interval
+    counts the eigenvalues in it without bisecting them.
+    """
+    import scipy.linalg
+
+    count, _, _, _, info = scipy.linalg.lapack.dstebz(
+        band[0], band[1, :-1], 1, lo, hi, 1, 1, 2.0 * (hi - lo), "E"
+    )
+    return count if info == 0 else None
+
+
 def _is_pair(band, bisected, value, residual, norm):
     """Whether a pair solved alone belongs to the eigenvalue it was bisected to.
 
@@ -287,18 +312,37 @@ def _is_pair(band, bisected, value, residual, norm):
     closer than tol can hand inverse iteration its own vector, whose
     residual is as small as any.
     """
-    import scipy.linalg
-
     tol = BISECT_TOL * norm
     if not (residual <= LONE_RESIDUAL_TOL * norm and abs(value - bisected) <= tol):
         return False
-    # LAPACK's range "V" (1 here) on (lo, hi]: a tolerance wider than the
-    # interval counts the eigenvalues in it without bisecting them
-    count, _, _, _, info = scipy.linalg.lapack.dstebz(
-        band[0], band[1, :-1], 1, bisected - 2.0 * tol, bisected + 2.0 * tol, 1, 1,
-        norm, "E"
-    )
-    return info == 0 and count == 1
+    return _sturm_count(band, bisected - 2.0 * tol, bisected + 2.0 * tol) == 1
+
+
+def _is_reflection_odd(band, norm):
+    """Whether reversing the chain negates the tridiagonal band to
+    REFLECTION_TOL*||T|| (J T J = -T, J the reversal): then the pair at -E
+    is the reversed vector of the pair at E."""
+    d, e = band[0], band[1, :-1]
+    gap = max(np.abs(d + d[::-1]).max(), np.abs(e + e[::-1]).max(initial=0.0))
+    return gap <= REFLECTION_TOL * norm
+
+
+def _mirrored_pairs(band, hi, norm):
+    """_pairs of the window (-hi, hi] on a reflection-odd band, or None.
+
+    Only (-tol, hi] is solved, tol = BISECT_TOL*||T||; every pair whose value
+    exceeds tol also gives the pair (-value, reversed vector), with its
+    residual taken on the stored band. The result stands only when one Sturm
+    count of (-hi, hi] equals the number of pairs; otherwise it is None.
+    """
+    bis, vals, vecs, res = _pairs(band, "v", (-BISECT_TOL * norm, hi), norm)
+    up = np.flatnonzero(vals > BISECT_TOL * norm)[::-1]
+    if _sturm_count(band, -hi, hi) != len(vals) + len(up):
+        return None
+    mvals, mvecs = -vals[up], vecs[::-1, up]
+    mres = np.linalg.norm(kernels.band_matvec(band, mvecs) - mvecs * mvals, axis=0)
+    return (np.concatenate([-bis[up], bis]), np.concatenate([mvals, vals]),
+            np.hstack([mvecs, vecs]), np.concatenate([mres, res]))
 
 
 def eigensolve(matrix, k=None, window=None, index=None):
@@ -318,10 +362,15 @@ def eigensolve(matrix, k=None, window=None, index=None):
     Rayleigh-Ritz step to be separated in. The lone pair is kept only when
     its residual is at most LONE_RESIDUAL_TOL*||T|| and one Sturm count ties
     it to `index` (see _is_pair); otherwise the solve returns pair `index`
-    of the k = index + 1 solve, bit for bit. Residuals are taken on the
-    stored band, and every vector is returned as the real chain of that
-    band: a Dirac vector in its sigma_y-basis (w, u) rows (see
-    EigenResult). Values are in ascending order.
+    of the k = index + 1 solve, bit for bit. A Dirac window (-hi, hi] on a
+    tridiagonal band whose reversal negates it to REFLECTION_TOL*||T||
+    (max of |d + d[::-1]| and |e + e[::-1]|) solves (-tol, hi] only and
+    mirrors each pair above tol to (-value, reversed vector); when one
+    Sturm count of (-hi, hi] differs from the number of pairs, or the band
+    is not reflection-odd, the full window is solved (see _mirrored_pairs).
+    Residuals are taken on the stored band, and every vector is returned as
+    the real chain of that band: a Dirac vector in its sigma_y-basis (w, u)
+    rows (see EigenResult). Values are in ascending order.
     """
     band = matrix.storage
     dim = band.shape[1]
@@ -354,7 +403,13 @@ def eigensolve(matrix, k=None, window=None, index=None):
     if not band[2:].any():
         # max|d| + 2*max|e| bounds ||T||
         norm = np.abs(band[0]).max() + 2.0 * np.abs(band[1, :-1]).max(initial=0.0)
-    bisected, vals, vecs, res = _pairs(band, select, select_range, norm)
+    pairs = None
+    if (window is not None and norm is not None and window[0] == -window[1]
+            and _is_reflection_odd(band, norm)):
+        pairs = _mirrored_pairs(band, window[1], norm)
+    if pairs is None:
+        pairs = _pairs(band, select, select_range, norm)
+    bisected, vals, vecs, res = pairs
     # at index 0 the lone pair is the k = 1 solve already
     if index and not _is_pair(band, bisected[0], vals[0], res[0], norm):
         _, vals, vecs, res = _pairs(band, "i", (0, index), norm)

@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from diracosc import kernels, numerics
 from diracosc.cli import bound_census
-from diracosc.errors import BoxStateError, DiracOscError, ZeroOutputError
+from diracosc.errors import (
+    BoxStateError,
+    DiracOscError,
+    LatticeThresholdError,
+    ZeroOutputError,
+)
 from diracosc.model import (
     CoupledModel,
     CustomProfile,
@@ -20,9 +25,12 @@ from diracosc.model import (
     ScalarField,
     SpinorField,
     StepProfile,
+    TanhPowerProfile,
     TanhProfile,
+    TanhSechProfile,
 )
 from diracosc.numerics import (
+    BISECT_TOL,
     LONE_RESIDUAL_TOL,
     DiracMatrix,
     _newton_level,
@@ -241,6 +249,104 @@ def test_staggered_spectrum_is_mirror_symmetric_without_field(n, h, seed):
     scale = max(1.0, np.max(np.abs(vals)))
     assert np.max(np.abs(vals + vals[::-1])) <= 1e-12 * scale
     assert np.min(np.abs(vals)) <= 1e-12 * scale
+
+
+def band_norm(matrix):
+    """The max|d| + 2*max|e| bound on ||T|| that eigensolve bisects against."""
+    band = matrix.storage
+    return np.abs(band[0]).max() + 2.0 * np.abs(band[1, :-1]).max(initial=0.0)
+
+
+def solve_ranges(monkeypatch):
+    """The select_range of every LAPACK tridiagonal solve, in call order."""
+    solve, ranges = scipy.linalg.eigh_tridiagonal, []
+
+    def spy(*args, **kwargs):
+        ranges.append(kwargs["select_range"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    return ranges
+
+
+ODD_PROFILES = {
+    "tanh": lambda a, k: TanhProfile(a),
+    "tanh_power": lambda a, k: TanhPowerProfile(k),
+    "tanh_sech": lambda a, k: TanhSechProfile(a, 0.0),
+    "linear": lambda a, k: LinearProfile(a / 4.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(ODD_PROFILES)),
+    amplitude=st.floats(0.5, 1.5),
+    exponent=st.sampled_from([1, 3, 5]),
+    kf=st.floats(0.5, 4.0),
+    km=st.floats(-4.0, 4.0),
+    field=st.floats(-0.95, 0.95),
+    n_points=st.integers(50, 400).map(lambda k: 2 * k + 1),
+    half_length=st.floats(4.0, 8.0),
+)
+def test_odd_chain_window_solves_half_and_mirrors(shape, amplitude, exponent, kf, km,
+                                                  field, n_points, half_length):
+    # odd f, m and v make the staggered chain reflection-odd, so only
+    # (-tol, edge] is bisected; the window must still hold every pair of
+    # (-edge, edge], each -E vector the reversed +E vector
+    model = CoupledModel(kf, km, field * math.hypot(kf, km),
+                         ODD_PROFILES[shape](amplitude, exponent))
+    grid = Grid(half_length, n_points)
+    profiles = model.general()
+    try:
+        matrix = build_staggered(profiles, grid)
+    except LatticeThresholdError:
+        reject()
+    edge = dirac_continuum_edge(profiles, grid)
+    norm = band_norm(matrix)
+    with pytest.MonkeyPatch.context() as mp:
+        ranges = solve_ranges(mp)
+        res = eigensolve(matrix, window=(-edge, edge))
+    assert ranges == [(-BISECT_TOL * norm, edge)]
+    ref = scipy.linalg.eigvalsh_tridiagonal(matrix.storage[0], matrix.storage[1, :-1],
+                                            select="v", select_range=(-edge, edge))
+    assert len(res.values) == len(ref)
+    assert np.all(np.abs(res.values - ref) <= 1e-12 * norm)
+    assert np.all(res.residuals <= 1e-12 * norm)
+    k = np.count_nonzero(res.values > BISECT_TOL * norm)
+    assert np.array_equal(res.values[:k], -res.values[::-1][:k])
+    assert np.array_equal(res.vectors[:, :k], res.vectors[::-1, ::-1][:, :k])
+
+
+def test_chains_that_are_not_reflection_odd_solve_the_full_window(monkeypatch):
+    ranges = solve_ranges(monkeypatch)
+    g = Grid(20.0, 1201)
+    shifted = CoupledModel(3.0, 4.0, 0.0, TanhProfile(0.8, shift=0.01)).general()
+    edge = dirac_continuum_edge(shifted, g)
+    assert len(eigensolve(build_staggered(shifted, g), window=(-edge, edge)).values) > 0
+    # the per-node r = 1 band puts w and u in mirrored rows: not odd for any profile
+    odd = scarf_model().general()
+    edge_r1 = dirac_continuum_edge(odd, g)
+    assert len(eigensolve(build_dirac(odd, g), window=(-edge_r1, edge_r1)).values) > 0
+    assert ranges == [(-edge, edge), (-edge_r1, edge_r1)]
+
+
+def test_odd_window_falls_back_when_the_count_disagrees(monkeypatch):
+    g = Grid(20.0, 1201)
+    profiles = CoupledModel(3.0, 4.0, 2.0, TanhProfile(1.0)).general()
+    edge = dirac_continuum_edge(profiles, g)
+    matrix = build_staggered(profiles, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_is_reflection_odd", lambda band, norm: False)
+        full = eigensolve(matrix, window=(-edge, edge))
+    count = numerics._sturm_count
+    monkeypatch.setattr(numerics, "_sturm_count",
+                        lambda band, lo, hi: count(band, lo, hi) + 1)
+    ranges = solve_ranges(monkeypatch)
+    res = eigensolve(matrix, window=(-edge, edge))
+    assert ranges == [(-BISECT_TOL * band_norm(matrix), edge), (-edge, edge)]
+    assert np.array_equal(res.values, full.values)
+    assert np.array_equal(res.vectors, full.vectors)
+    assert np.array_equal(res.residuals, full.residuals)
 
 
 def test_eigensolve_window_and_k_selection():
@@ -586,12 +692,6 @@ def test_reconstruct_spinor_zero_energy_ground_state_raises():
         reconstruct_spinor(phi, chi, model, 0.0)
 
 
-def band_norm(matrix):
-    """The max|d| + 2*max|e| bound on ||T|| that eigensolve bisects against."""
-    band = matrix.storage
-    return np.abs(band[0]).max() + 2.0 * np.abs(band[1, :-1]).max(initial=0.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(3, 200),
@@ -633,13 +733,7 @@ def test_index_solve_falls_back_on_a_double_well(monkeypatch, a):
     g = Grid(8.0, 2001)
     matrix = build_schrodinger(ScalarField(g, (g.nodes**2 - a * a) ** 2))
     ref = eigensolve(matrix, k=2)
-    solve, ranges = scipy.linalg.eigh_tridiagonal, []
-
-    def spy(*args, **kwargs):
-        ranges.append(kwargs["select_range"])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    ranges = solve_ranges(monkeypatch)
     one = eigensolve(matrix, index=1)
     assert ranges == [(1, 1), (0, 1)]
     assert np.array_equal(one.values, ref.values[1:])
