@@ -57,7 +57,6 @@ from .numerics import (
     dirac_continuum_edge,
     dirac_residual,
     eigensolve,
-    reconstruct_spinor,
     schrodinger_continuum_edge,
     selfconsistent_level,
 )

@@ -12,8 +12,8 @@ rather than dropped silently.
 from dataclasses import dataclass, field
 import math
 
-from .errors import ConstraintError, SupercriticalError
-from .susy import critical_field, is_subcritical
+from .errors import ConstraintError
+from .susy import subcritical_radicand
 
 
 @dataclass(frozen=True)
@@ -140,14 +140,14 @@ def rm2_with_field_levels(alpha0, kf, km, kv):
     denominator correction (0, 0.923, 2.897, ... for alpha0 = 1, kf = 3,
     km = 4), while the rederived one reduces to the field-free
     `rosen_morse2_levels` (0, 9, 16, ...). Neither is declared right here; a
-    numerical spectrum arbitrates.
+    numerical spectrum arbitrates. The field-reduced magnitude is the root of
+    `susy.subcritical_radicand`, so couplings at or beyond the critical field
+    raise SupercriticalError exactly where `susy.reduce` does.
     """
     if alpha0 <= 0:
         raise ConstraintError(f"need alpha0 > 0, got {alpha0}")
-    if not is_subcritical(kf, km, kv):
-        raise SupercriticalError(kv, critical_field(kf, km))
+    kprime = math.sqrt(subcritical_radicand(kf, km, kv))
     kappa = math.hypot(kf, km)
-    kprime = math.sqrt(kf * kf + km * km - kv * kv)
     printed = _field_variant(
         "rm2_field_printed", alpha0, kappa, kappa, kv, math.ceil(alpha0 * kappa) - 1
     )

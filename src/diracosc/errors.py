@@ -77,14 +77,6 @@ class ConstraintError(DiracOscError):
     """Closed-form family parameters violate a stated constraint."""
 
 
-class ZeroOutputError(DiracOscError):
-    """The spinor-reconstruction operator annihilated its input.
-
-    Happens for the zero-energy supersymmetric ground state; the caller
-    should build that state directly from the first-order equation instead.
-    """
-
-
 class ConstructionFailedError(DiracOscError):
     """A zero-mode construction found no eigenvalue where one was required.
 

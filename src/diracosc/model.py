@@ -18,9 +18,6 @@ from .errors import ProfileDomainError, ProfileSingularityError
 class Profile:
     """Base class for the shared shape function W(x) and its relatives."""
 
-    #: True when derivative() is exact rather than a finite difference.
-    analytic_derivative = True
-
     def value(self, x):
         raise NotImplementedError
 
@@ -127,7 +124,6 @@ class TabulatedProfile(Profile):
 
     nodes: np.ndarray
     samples: np.ndarray
-    analytic_derivative = False
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -162,29 +158,16 @@ class TabulatedProfile(Profile):
 
 @dataclass(frozen=True)
 class CustomProfile(Profile):
-    """Closure-style profile; pass deriv for an exact derivative.
+    """Closure-style profile: the values of func on a float array.
 
-    Without deriv, derivatives are central differences with step fd_step.
+    It has no derivative. The first-order operators and residuals sample
+    values only; the partner reduction differentiates CoupledModel.profile.
     """
 
     func: object
-    deriv: object = None
-    fd_step: float = 1e-6
-    name: str = "custom"
-
-    @property
-    def analytic_derivative(self):
-        return self.deriv is not None
 
     def value(self, x):
         return np.asarray(self.func(np.asarray(x, dtype=float)))
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.deriv is not None:
-            return np.asarray(self.deriv(x))
-        h = self.fd_step
-        return (self.func(x + h) - self.func(x - h)) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +201,7 @@ class CoupledModel:
     def general(self):
         """View of this model as three independent profiles."""
         return GeneralProfiles(
-            f=CustomProfile(self.f, deriv=lambda x: self.kappa_f * self.profile.derivative(x),
-                            name="kf*W"),
-            m=CustomProfile(self.m, deriv=lambda x: self.kappa_m * self.profile.derivative(x),
-                            name="km*W"),
-            v=CustomProfile(self.v, deriv=lambda x: self.kappa_v * self.profile.derivative(x),
-                            name="kv*W"),
+            f=CustomProfile(self.f), m=CustomProfile(self.m), v=CustomProfile(self.v)
         )
 
 

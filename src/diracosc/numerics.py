@@ -16,10 +16,10 @@ The second-order operator is tridiagonal, and so are the staggered chain
 and the r = 1 per-node band: all go to one call of LAPACK's tridiagonal
 solver. Only a per-node band at r != 1 builds a dense matrix. Either way
 every eigenvector is real: the (w, u) chain of the band that was solved.
-The residual diagnostics (`dirac_residual`, `reconstruct_spinor`) apply
-the per-node r = 0 stencil to f, m, v sampled on the nodes and directly to
-the physical (psi1, psi2) samples of a spinor, so they measure the
-continuum equation without assembling a band.
+The residual diagnostic `dirac_residual` applies the per-node r = 0
+stencil to f, m, v sampled on the nodes and directly to the physical
+(psi1, psi2) samples of a spinor, so it measures the continuum equation
+without assembling a band.
 
 A windowed or k-smallest tridiagonal solve has two stages. Bisection
 (stebz) stops at sqrt(eps_mach)*||T||, with ||T|| bounded by
@@ -66,9 +66,8 @@ from .errors import (
     LatticeThresholdError,
     NonFiniteProfileError,
     VanishingSpinorError,
-    ZeroOutputError,
 )
-from .model import Grid, ScalarField, SpinorField
+from .model import Grid, ScalarField
 
 # classify_bound: a bound state keeps at most OUTER_TOL of its probability in
 # the outer OUTER_FRAC of the grid on each side; eigenvalues closer than
@@ -78,9 +77,6 @@ OUTER_TOL = 0.01
 DEGENERACY_TOL = 1e-6
 # dirac_residual ignores the outer EXCLUDE_FRAC of nodes on each side
 EXCLUDE_FRAC = 0.05
-# reconstruct_spinor: output/input norm ratio below which the intertwiner
-# counts as having annihilated its input
-ZERO_OUTPUT_TOL = 1e-2
 # eigensolve, tridiagonal windows: bisection stops at BISECT_TOL * ||T||, and
 # vectors whose bisected values lie within GROUP_TOLS bisection tolerances of
 # each other share one Rayleigh-Ritz step (a pair split by just over 100
@@ -136,15 +132,6 @@ class EigenResult:
             object.__setattr__(
                 self, "bound_flags", np.zeros(len(self.values), dtype=bool)
             )
-
-    def node_density(self, i):
-        """Per-node probability of eigenvector i (components summed for dirac;
-        on the staggered chain node j takes the midpoint to its right)."""
-        p = self.vectors[:, i] ** 2
-        if self.kind == "dirac":
-            p = np.append(p, [0.0] * (len(p) % 2))   # the last node has no midpoint
-            p = p[0::2] + p[1::2]
-        return p
 
     def bound(self):
         """(values, column indices) of the bound-flagged pairs."""
@@ -572,37 +559,6 @@ def dirac_residual(f, m, v, psi, energy, jump_mask=True):
             "the grid may be too coarse"
         )
     return num / den
-
-
-def reconstruct_spinor(phi, chi, model, energy):
-    """Physical spinor from a reduced-problem solution phi.
-
-    Applies the first-order intertwining operator to chi*phi(x) nodewise
-    (central differences) and normalizes. At E = 0 the operator annihilates
-    the supersymmetric ground state; that is detected by comparing output to
-    input norm against ZERO_OUTPUT_TOL and reported as ZeroOutputError so the
-    caller can switch to the direct first-order construction.
-    """
-    grid = phi.grid
-    h = grid.spacing
-    shape = _sample(model.profile, grid.nodes)
-    f = model.kappa_f * shape
-    m = model.kappa_m * shape
-    v = model.kappa_v * shape
-    p1 = chi[0] * np.asarray(phi.samples, dtype=complex)
-    p2 = chi[1] * np.asarray(phi.samples, dtype=complex)
-    # intertwiner = sigma_x p - sigma_y f + sigma_z m - v + E
-    o1, o2 = _dirac_minus_e(f, m, -v, h, p1, p2, -float(energy))
-    out_norm = math.sqrt(float(np.sum(np.abs(o1) ** 2 + np.abs(o2) ** 2)) * h)
-    in_norm = math.sqrt(float(np.sum(np.abs(p1) ** 2 + np.abs(p2) ** 2)) * h)
-    if in_norm == 0:
-        raise ValueError("phi is identically zero")
-    if out_norm < ZERO_OUTPUT_TOL * in_norm:
-        raise ZeroOutputError(
-            "the intertwining operator annihilated chi*phi (zero-energy ground "
-            "state); build the state from the first-order equation instead"
-        )
-    return SpinorField(grid, o1 / out_norm, o2 / out_norm)
 
 
 def selfconsistent_level(model, sigma, level, grid, seed_energy):

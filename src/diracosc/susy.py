@@ -4,11 +4,11 @@ The coupling matrix is diagonalized in closed form; each sign sigma = +/-1
 selects one partner potential wtilde^2 - sigma*wtilde'. The reduction is
 well defined only below the critical coupling sqrt(kf^2 + km^2); at or above
 it the square root turns zero or imaginary and the shifted superpotential
-degenerates, so those inputs are refused.
+degenerates, so those inputs are refused. One radicand,
+kf^2 + (km - kv)(km + kv), decides that everywhere.
 """
 
 from dataclasses import dataclass
-import cmath
 import math
 
 import numpy as np
@@ -22,9 +22,8 @@ class SpinEigenpair:
     """One eigenvalue/eigenvector pair of the 2x2 coupling matrix."""
 
     sigma: int
-    lam: complex          # sigma * sqrt(kf^2 + km^2 - kv^2); complex when supercritical
-    chi: np.ndarray       # unit-norm 2-spinor
-    subcritical: bool
+    lam: float            # sigma * sqrt(kf^2 + km^2 - kv^2)
+    chi: np.ndarray       # unit-norm complex 2-spinor
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class ReducedProblem:
 
     sigma: int
     model: CoupledModel
-    energy: float
     shift: float                 # kv*E / (kf^2+km^2-kv^2)
     scale: float                 # sqrt(kf^2+km^2-kv^2)
     epsilon_coefficient: float   # eps = coeff * E^2
@@ -50,31 +48,40 @@ class ReducedProblem:
 
 
 def _radicand(kf, km, kv):
-    """kf^2 + km^2 - kv^2; CouplingOverflowError when it is infinite or NaN,
-    which leaves no eigenvalue, shift or scale to report.
+    """kf^2 + km^2 - kv^2, with km^2 - kv^2 taken as (km - kv)(km + kv).
 
-    km^2 - kv^2 is returned as (km - kv)(km + kv), which is exact when
-    |km| = |kv|: summed as squares it rounds, and at kf = 4, km = kv = 1e-6
-    the root came out one ulp below 4, which left the eigenvector of the
-    then triangular matrix a residual of 2e-9.
+    The product is exact when |km| = |kv|: summed as squares it rounds, and
+    at kf = 4, km = kv = 1e-6 the root came out one ulp below 4, which left
+    the eigenvector of the then triangular matrix a residual of 2e-9.
     """
-    if not math.isfinite(kf * kf + km * km - kv * kv):
-        raise CouplingOverflowError(kf, km, kv)
     return kf * kf + (km - kv) * (km + kv)
 
 
-def coupling_matrix(kf, km, kv, zero_energy_variant=False):
-    """Explicit 2x2 coupling matrix in the chosen sign convention.
+def subcritical_radicand(kf, km, kv):
+    """The radicand kf^2 + km^2 - kv^2 of a subcritical coupling.
 
-    The finite-energy reduction and the zero-energy first-order system carry
-    the electric coupling with opposite imaginary signs; the eigenvalues
-    agree, the eigenvectors do not, so both conventions are kept explicit.
+    Raises CouplingOverflowError (a ValueError) when kf^2 + km^2 - kv^2 is
+    infinite or NaN, which leaves no eigenvalue, shift or scale to report,
+    and SupercriticalError when the radicand is not positive.
     """
-    s = +1.0 if zero_energy_variant else -1.0
+    if not math.isfinite(kf * kf + km * km - kv * kv):
+        raise CouplingOverflowError(kf, km, kv)
+    rad = _radicand(kf, km, kv)
+    if not rad > 0:
+        raise SupercriticalError(kv, critical_field(kf, km))
+    return rad
+
+
+def coupling_matrix(kf, km, kv):
+    """Explicit 2x2 coupling matrix of the zero-energy first-order system.
+
+    Its eigenvectors are the spinor directions of the quadrature zero mode;
+    its eigenvalues are +-sqrt(kf^2 + km^2 - kv^2).
+    """
     return np.array(
         [
-            [kf, -1j * (km - s * kv)],
-            [1j * (km + s * kv), -kf],
+            [kf, -1j * (km - kv)],
+            [1j * (km + kv), -kf],
         ]
     )
 
@@ -85,11 +92,16 @@ def critical_field(kf, km):
 
 
 def is_subcritical(kf, km, kv):
-    """Strict predicate: bound states require |kv| < sqrt(kf^2 + km^2)."""
-    return abs(kv) < critical_field(kf, km)
+    """Strict predicate: bound states require kf^2 + km^2 - kv^2 > 0.
+
+    It reads the same radicand that `reduce` and `spin_eigensystem` take the
+    root of, so the three agree on every coupling, one ulp from the critical
+    field included. An overflowing radicand is not refused here.
+    """
+    return _radicand(kf, km, kv) > 0
 
 
-def _eigvec(kf, km, kv, lam, zero_energy_variant):
+def _eigvec(kf, km, kv, lam):
     """Eigenvector for eigenvalue lam.
 
     The two row formulas are algebraically the same vector but lose
@@ -101,9 +113,8 @@ def _eigvec(kf, km, kv, lam, zero_energy_variant):
     the off-diagonal elements are negligible (km = kv = 0 makes the matrix
     diagonal) and the basis spinors are the eigenvectors.
     """
-    s = +1.0 if zero_energy_variant else -1.0
-    d1 = km - s * kv   # first-row denominator
-    d2 = km + s * kv   # second-row denominator
+    d1 = km - kv   # first-row denominator
+    d2 = km + kv   # second-row denominator
     scale = max(abs(kf), abs(km), abs(kv), 1.0)
     candidates = []
     if abs(d1) > 1e-300:
@@ -117,7 +128,7 @@ def _eigvec(kf, km, kv, lam, zero_energy_variant):
         if abs(lam - kf) <= 1e-14 * scale:
             return np.array([1.0, 0.0], dtype=complex)
         return np.array([0.0, 1.0], dtype=complex)
-    matrix = coupling_matrix(kf, km, kv, zero_energy_variant)
+    matrix = coupling_matrix(kf, km, kv)
     best, best_res = None, math.inf
     for chi in candidates:
         res = float(np.linalg.norm(matrix @ chi - lam * chi))
@@ -126,27 +137,21 @@ def _eigvec(kf, km, kv, lam, zero_energy_variant):
     return best
 
 
-def spin_eigensystem(kf, km, kv, zero_energy_variant=False):
+def spin_eigensystem(kf, km, kv):
     """Both sigma = +/-1 eigenpairs of the coupling matrix.
 
-    Supercritical couplings return complex eigenvalues flagged via
-    `subcritical=False` instead of raising, so sweeps can cross the
-    transition. Couplings whose squares overflow raise
-    CouplingOverflowError (a ValueError).
+    Raises ValueError when every coupling is zero, CouplingOverflowError (a
+    ValueError) when the squares overflow, and SupercriticalError at or
+    beyond the critical field, as `reduce` does.
     """
     if kf == 0 and km == 0 and kv == 0:
         raise ValueError("all couplings zero: the coupling matrix vanishes")
-    rad = _radicand(kf, km, kv)
-    sub = rad > 0
-    root = math.sqrt(rad) if sub else cmath.sqrt(complex(rad))
-    pairs = []
-    for sigma in (+1, -1):
-        lam = sigma * root
-        chi = _eigvec(kf, km, kv, lam, zero_energy_variant)
-        pairs.append(
-            SpinEigenpair(sigma=sigma, lam=lam, chi=chi, subcritical=sub)
-        )
-    return tuple(pairs)
+    root = math.sqrt(subcritical_radicand(kf, km, kv))
+    return tuple(
+        SpinEigenpair(sigma=sigma, lam=sigma * root,
+                      chi=_eigvec(kf, km, kv, sigma * root))
+        for sigma in (+1, -1)
+    )
 
 
 def reduce(model, sigma, energy=0.0):
@@ -158,13 +163,10 @@ def reduce(model, sigma, energy=0.0):
     CouplingOverflowError.
     """
     kf, km, kv = model.kappa_f, model.kappa_m, model.kappa_v
-    rad = _radicand(kf, km, kv)
-    if not rad > 0:
-        raise SupercriticalError(kv, critical_field(kf, km))
+    rad = subcritical_radicand(kf, km, kv)
     return ReducedProblem(
         sigma=sigma,
         model=model,
-        energy=energy,
         shift=0.0 if kv == 0 or energy == 0 else kv * energy / rad,
         scale=math.sqrt(rad),
         epsilon_coefficient=(kf * kf + km * km) / rad,

@@ -31,11 +31,7 @@ import math
 import numpy as np
 
 from . import kernels, numerics, susy
-from .errors import (
-    ConstructionFailedError,
-    DegenerateSpinorError,
-    SupercriticalError,
-)
+from .errors import ConstructionFailedError, DegenerateSpinorError
 from .model import ScalarField, SpinorField
 
 # relative mismatch of the two component ratios up to which match_interface
@@ -84,26 +80,21 @@ def zero_mode_quadrature(model, grid):
     sigma is chosen so the exponent decays on both sides (judged from the
     signs of lambda*W at the box ends, where the profiles have saturated).
     When neither sign works the result is returned with normalizable=False
-    and both candidates' decay rates in the metadata; a supercritical model
-    raises instead since lambda is no longer real. W is sampled once, and
-    the metadata's dirac_residual is numerics.dirac_residual of
-    f, m, v = kappa*W from that sample (the floats model.general() gives).
+    and both candidates' decay rates in the metadata. A model at or beyond
+    the critical field has no real lambda: susy.spin_eigensystem raises
+    SupercriticalError. W is sampled once, and the metadata's dirac_residual
+    is numerics.dirac_residual of f, m, v = kappa*W from that sample (the
+    floats model.general() gives).
     """
-    pair_plus, pair_minus = susy.spin_eigensystem(
-        model.kappa_f, model.kappa_m, model.kappa_v, zero_energy_variant=True
-    )
-    if not pair_plus.subcritical:
-        raise SupercriticalError(
-            model.kappa_v, susy.critical_field(model.kappa_f, model.kappa_m)
-        )
+    pairs = susy.spin_eigensystem(model.kappa_f, model.kappa_m, model.kappa_v)
     x = grid.nodes
     w = numerics._sample(model.profile, x)
     integral = kernels.cumulative_simpson_center(w, grid.spacing, grid.center_index)
     w_left, w_right = w[0], w[-1]
 
     tried = {}
-    for pair in (pair_plus, pair_minus):
-        lam = float(np.real(pair.lam))
+    for pair in pairs:
+        lam = pair.lam
         rates = (-lam * w_left, lam * w_right)   # exponents toward -inf, +inf
         tried[pair.sigma] = rates
         if rates[0] > 0 and rates[1] > 0:

@@ -144,6 +144,13 @@ def test_field_variant_reference_level():
     assert by_n[1] == pytest.approx(9.0, abs=1e-12)
 
 
+def test_rederived_variant_takes_the_exact_reduced_coupling():
+    # |km| = |kv| cancels exactly in kf^2 + (km - kv)(km + kv); summed as
+    # squares the reduced coupling came out 3.9999999999999996
+    _, rederived = rm2_with_field_levels(1.0, 4.0, 1e-6, 1e-6)
+    assert rederived.metadata["A"] == 4.0
+
+
 def test_field_variants_disagree_with_field():
     printed, rederived = rm2_with_field_levels(2.0, 1.0, 1.0, 1.0)
     # the consistent composition keeps only the zero level; its first excited

@@ -331,6 +331,31 @@ def test_cli_main_supercritical_exit_code(tmp_path, capsys):
     assert "critical" in err and "5" in err
 
 
+def test_one_ulp_below_the_critical_field_is_refused_alike(tmp_path, capsys):
+    # kappa_v is one ulp below hypot(kappa_f, kappa_m) while the radicand
+    # kf^2 + (km - kv)(km + kv) is not positive: arbitrate used to exit 0 with a
+    # winner at a continuum edge of 9e-16, and sweep to call the step
+    # subcritical, while zeromode refused it
+    kf, km, kv = 6.523511964174448, 4.439337860852986, 7.890749583501552
+    assert kv == math.nextafter(math.hypot(kf, km), 0.0)
+    model = {"type": "coupled", "kappa_f": kf, "kappa_m": km, "kappa_v": kv,
+             "profile": {"type": "tanh", "amplitude": 1.0}}
+    errors = []
+    for workflow in ("arbitrate", "zeromode"):
+        doc = base_config(workflow=workflow, model=model,
+                          grid={"half_length": 20.0, "n_points": 401})
+        path = write_config(tmp_path, doc, name=f"{workflow}.json")
+        assert main(["run", "--config", path, "--out", str(tmp_path / workflow)]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "is not below the critical field" in errors[0]
+    doc = base_config(workflow="sweep", model=model, sweep={"kappa_v_values": [0.0, kv]},
+                      grid={"half_length": 20.0, "n_points": 401})
+    main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+    steps = json.loads((tmp_path / "sweep_report.json").read_text())["results"]["steps"]
+    assert [step["subcritical"] for step in steps] == [True, False]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_cli_main_rejects_non_finite_tabulated_profile(tmp_path, capsys, bad):
     doc = base_config()

@@ -1,7 +1,8 @@
-"""Every import in the source and test trees is used, and scipy loads only
-when a run eigensolves."""
+"""Every import in the source and test trees is used, every package export
+is reached, and scipy loads only when a run eigensolves."""
 
 import ast
+import inspect
 import json
 from pathlib import Path
 import subprocess
@@ -38,6 +39,41 @@ def test_no_unused_imports():
     found = [f"{p.relative_to(ROOT)}:{line}: {name}"
              for p in paths for line, name in unused_imports(p.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def loaded_names(source):
+    """Every name a module reads: loaded Names and attribute names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_loaded_name_scan_skips_definitions_and_imports():
+    source = ("from m import a\nimport b\nc = 1\ndef d():\n    pass\n"
+              "class E:\n    pass\nprint(b.f, E)\n")
+    assert loaded_names(source) == {"print", "b", "f", "E"}
+
+
+def test_every_export_is_used():
+    # an export must be reached by the library itself, an acceptance test or
+    # a benchmark op; a unit test of itself does not count. Submodules are
+    # in __all__ because importing them binds them on the package.
+    import diracosc
+
+    paths = [p for p in sorted((ROOT / "src" / "diracosc").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += [ROOT / "tests" / "test_acceptance.py",
+              *sorted((ROOT / "perfbench").glob("*.py"))]
+    used = set().union(*(loaded_names(p.read_text()) for p in paths))
+    exports = [name for name in diracosc.__all__ if name != "__version__"
+               and not inspect.ismodule(getattr(diracosc, name))]
+    assert exports
+    unused = [name for name in exports if name not in used]
+    assert not unused, "exports nothing uses: " + ", ".join(unused)
 
 
 def eager_imports(source, package):

@@ -6,7 +6,6 @@ import pytest
 from diracosc.errors import ProfileDomainError, ProfileSingularityError
 from diracosc.model import (
     CoupledModel,
-    CustomProfile,
     Grid,
     LinearProfile,
     ScalarField,
@@ -92,12 +91,6 @@ def test_tanh_sech_shape():
     assert p.value(x) == pytest.approx(expected, rel=1e-15)
     fd = (p.value(x + 1e-6) - p.value(x - 1e-6)) / 2e-6
     assert p.derivative(x) == pytest.approx(fd, abs=1e-9)
-
-
-def test_custom_profile_fd_fallback():
-    p = CustomProfile(lambda x: np.exp(-(x**2)), fd_step=1e-5)
-    assert not p.analytic_derivative
-    assert p.derivative(0.5) == pytest.approx(-1.0 * np.exp(-0.25), abs=1e-8)
 
 
 def test_profile_evaluation_is_pure():

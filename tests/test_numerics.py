@@ -14,7 +14,6 @@ from diracosc.errors import (
     BoxStateError,
     DiracOscError,
     LatticeThresholdError,
-    ZeroOutputError,
 )
 from diracosc.model import (
     CoupledModel,
@@ -41,7 +40,6 @@ from diracosc.numerics import (
     dirac_continuum_edge,
     dirac_residual,
     eigensolve,
-    reconstruct_spinor,
     schrodinger_continuum_edge,
     selfconsistent_level,
 )
@@ -49,15 +47,11 @@ from diracosc.susy import reduce, spin_eigensystem
 
 
 def zero_profile():
-    return CustomProfile(lambda x: np.zeros_like(np.asarray(x, float)),
-                         deriv=lambda x: np.zeros_like(np.asarray(x, float)),
-                         name="zero")
+    return CustomProfile(lambda x: np.zeros_like(np.asarray(x, float)))
 
 
 def const_profile(c):
-    return CustomProfile(lambda x: np.full_like(np.asarray(x, float), c),
-                         deriv=lambda x: np.zeros_like(np.asarray(x, float)),
-                         name=f"const{c}")
+    return CustomProfile(lambda x: np.full_like(np.asarray(x, float), c))
 
 
 def scarf_model(scale=0.8):
@@ -510,8 +504,9 @@ def test_classify_bound_separates_wall_hybrids():
     vals, idx = cls.bound()
     assert len(vals) == 1
     assert abs(vals[0]) < 1e-6
-    dens = cls.node_density(idx[0])
-    assert g.nodes[np.argmax(dens)] == pytest.approx(0.0, abs=0.5)
+    # rows 2j and 2j + 1 belong to node j
+    peak = np.argmax(cls.vectors[:, idx[0]] ** 2) // 2
+    assert g.nodes[peak] == pytest.approx(0.0, abs=0.5)
 
 
 def test_classify_bound_jackiw_rebbi_single_flag():
@@ -538,9 +533,10 @@ def test_staggered_mass_kink_separates_wall_states_from_the_zero_mode():
     assert len(vals) == 7
     assert np.sort(vals**2)[::2] == pytest.approx([0.0, 7.0, 12.0, 15.0], abs=5e-3)
     # the zero mode, h-normalized, sits at the kink
-    dens = cls.node_density(idx[np.argmin(np.abs(vals))])
-    assert np.sum(dens) * g.spacing == pytest.approx(1.0, abs=1e-12)
-    assert g.nodes[np.argmax(dens)] == pytest.approx(0.0, abs=0.5)
+    vec = cls.vectors[:, idx[np.argmin(np.abs(vals))]]
+    assert np.sum(vec**2) * g.spacing == pytest.approx(1.0, abs=1e-12)
+    # w_j on row 2j, and u on row 2j + 1, the midpoint after node j
+    assert g.nodes[np.argmax(vec**2) // 2] == pytest.approx(0.0, abs=0.5)
 
 
 def test_supercritical_sweep_point_has_no_bound_states():
@@ -624,7 +620,7 @@ def test_dirac_residual_zero_mode_and_negative_control():
     # lambda = 5, so reaching 1e-6 takes h ~ 7e-4
     g = Grid(24.0, 72001)
     model = scarf_model()
-    pairs = spin_eigensystem(3.0, 4.0, 0.0, zero_energy_variant=True)
+    pairs = spin_eigensystem(3.0, 4.0, 0.0)
     x = g.nodes
     phi = 1.0 / np.cosh(x) ** 4          # exact zero mode of the 4tanh shape
     psi = SpinorField(g, pairs[0].chi[0] * phi, pairs[0].chi[1] * phi).normalize()
@@ -655,41 +651,6 @@ def test_dirac_residual_masks_step_kink():
     psi2 = SpinorField(g2, 2.0 * env2 + 0j, 1j * env2).normalize()
     assert dirac_residual(*sampled(profiles, g2), psi2, 0.0) == pytest.approx(masked / 4,
                                                                            rel=0.15)
-
-
-def reduced_scarf_state(g, level):
-    model = scarf_model()
-    red = reduce(model, +1)
-    pot = ScalarField(g, red.effective_potential(g.nodes))
-    res = eigensolve(build_schrodinger(pot), k=level + 1)
-    return model, res.values[level], ScalarField(g, res.vectors[:, level])
-
-
-def test_reconstruct_spinor_excited_state():
-    g = Grid(20.0, 2001)
-    model, eps, phi = reduced_scarf_state(g, 1)
-    energy = math.sqrt(eps)
-    assert energy == pytest.approx(math.sqrt(7.0), abs=1e-3)
-    chi = spin_eigensystem(3.0, 4.0, 0.0)[0].chi
-    psi = reconstruct_spinor(phi, chi, model, energy)
-    assert psi.normalized
-    res = dirac_residual(*sampled(model.general(), g), psi, energy)
-    assert res < 5e-3
-    # the residual is discretization-limited: halving h drops it ~4x
-    g2 = Grid(20.0, 4001)
-    model2, eps2, phi2 = reduced_scarf_state(g2, 1)
-    psi2 = reconstruct_spinor(phi2, chi, model2, math.sqrt(eps2))
-    res2 = dirac_residual(*sampled(model2.general(), g2), psi2, math.sqrt(eps2))
-    assert res2 == pytest.approx(res / 4, rel=0.25)
-
-
-def test_reconstruct_spinor_zero_energy_ground_state_raises():
-    g = Grid(20.0, 2001)
-    model, eps, phi = reduced_scarf_state(g, 0)
-    assert abs(eps) < 1e-3
-    chi = spin_eigensystem(3.0, 4.0, 0.0)[0].chi
-    with pytest.raises(ZeroOutputError):
-        reconstruct_spinor(phi, chi, model, 0.0)
 
 
 @settings(max_examples=60, deadline=None)

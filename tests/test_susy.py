@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracosc.errors import SupercriticalError
@@ -19,9 +19,9 @@ from diracosc.susy import (
 )
 
 
-def brute_eigensystem(kf, km, kv, zero_energy_variant):
+def brute_eigensystem(kf, km, kv):
     """Independent oracle: let LAPACK diagonalize the explicit 2x2 matrix."""
-    M = coupling_matrix(kf, km, kv, zero_energy_variant)
+    M = coupling_matrix(kf, km, kv)
     vals, vecs = np.linalg.eig(M)
     order = np.argsort(vals.real)[::-1]  # +root first
     return vals[order], vecs[:, order]
@@ -32,10 +32,9 @@ def brute_eigensystem(kf, km, kv, zero_energy_variant):
     (1.0, 0.0, 0.0, 1.0),
     (1.0, 1.0, 1.0, 1.0),
 ])
-@pytest.mark.parametrize("variant", [False, True])
-def test_eigenvalues_against_brute_force(kf, km, kv, expected, variant):
-    pairs = spin_eigensystem(kf, km, kv, zero_energy_variant=variant)
-    vals, _ = brute_eigensystem(kf, km, kv, variant)
+def test_eigenvalues_against_brute_force(kf, km, kv, expected):
+    pairs = spin_eigensystem(kf, km, kv)
+    vals, _ = brute_eigensystem(kf, km, kv)
     assert pairs[0].lam == pytest.approx(expected, abs=1e-12)
     assert pairs[1].lam == pytest.approx(-expected, abs=1e-12)
     assert sorted(np.real(vals)) == pytest.approx(
@@ -50,40 +49,34 @@ def test_diagonal_coupling_gives_basis_spinor():
     assert np.allclose(np.abs(minus.chi), [0.0, 1.0])
 
 
-@pytest.mark.parametrize("variant", [False, True])
-def test_eigenvector_residual_and_norm(variant):
+def test_eigenvector_residual_and_norm():
     for kf, km, kv in [(3, 4, 0), (1, 2, 1.5), (0.5, 0.5, 0.5), (2, -1, 0.3),
                        (1, 1, 0), (-2, 3, -1)]:
-        M = coupling_matrix(kf, km, kv, variant)
-        for pair in spin_eigensystem(kf, km, kv, zero_energy_variant=variant):
+        M = coupling_matrix(kf, km, kv)
+        for pair in spin_eigensystem(kf, km, kv):
             assert np.linalg.norm(pair.chi) == pytest.approx(1.0, abs=1e-14)
             res = np.linalg.norm(M @ pair.chi - pair.lam * pair.chi)
             assert res <= 1e-12
 
 
 def test_degenerate_denominator_falls_back_to_second_row():
-    # km == kv makes the first-row formula of the zero-energy convention 0/0
+    # km == kv makes the first-row formula 0/0
     kf, km, kv = 2.0, 1.0, 1.0
-    M = coupling_matrix(kf, km, kv, zero_energy_variant=True)
-    for pair in spin_eigensystem(kf, km, kv, zero_energy_variant=True):
+    M = coupling_matrix(kf, km, kv)
+    for pair in spin_eigensystem(kf, km, kv):
         res = np.linalg.norm(M @ pair.chi - pair.lam * pair.chi)
         assert res <= 1e-12
 
 
-def test_variants_share_eigenvalues_but_not_eigenvectors():
-    kf, km, kv = 1.0, 2.0, 1.0
-    a = spin_eigensystem(kf, km, kv, zero_energy_variant=False)
-    b = spin_eigensystem(kf, km, kv, zero_energy_variant=True)
-    assert a[0].lam == pytest.approx(b[0].lam, abs=1e-14)
-    overlap = abs(np.vdot(a[0].chi, b[0].chi))
-    assert overlap < 1.0 - 1e-6
-
-
-def test_supercritical_returns_complex_lambda_flagged():
-    pairs = spin_eigensystem(1.0, 1.0, 2.0)
-    assert not pairs[0].subcritical
-    assert pairs[0].lam.imag != 0
-    assert pairs[0].lam == pytest.approx(-pairs[1].lam)
+def test_supercritical_raises_as_reduce_does():
+    # beyond the critical field sqrt(2) lambda is not real
+    for kv in (2.0, -2.0, math.nextafter(math.sqrt(2.0), 2.0)):
+        with pytest.raises(SupercriticalError) as err:
+            spin_eigensystem(1.0, 1.0, kv)
+        with pytest.raises(SupercriticalError) as ref:
+            reduce(CoupledModel(1.0, 1.0, kv, TanhProfile(1.0)), +1)
+        assert (err.value.kappa_v, err.value.critical) == (kv, math.sqrt(2.0))
+        assert str(err.value) == str(ref.value)
 
 
 def test_all_zero_couplings_rejected():
@@ -96,32 +89,32 @@ def test_all_zero_couplings_rejected():
     kf=st.floats(-5, 5),
     km=st.floats(-5, 5),
     kv=st.floats(-5, 5),
-    variant=st.booleans(),
 )
-def test_eigenpair_invariants_hold_generically(kf, km, kv, variant):
+def test_eigenpair_invariants_hold_generically(kf, km, kv):
     if kf == 0 and km == 0 and kv == 0:
         return
-    rad = kf * kf + km * km - kv * kv
-    pairs = spin_eigensystem(kf, km, kv, zero_energy_variant=variant)
+    rad = kf * kf + (km - kv) * (km + kv)
+    if not rad > 0:
+        with pytest.raises(SupercriticalError):
+            spin_eigensystem(kf, km, kv)
+        return
+    pairs = spin_eigensystem(kf, km, kv)
     assert pairs[0].lam == pytest.approx(-pairs[1].lam, abs=1e-12)
     assert pairs[0].lam ** 2 == pytest.approx(rad, abs=1e-10)
+    M = coupling_matrix(kf, km, kv)
     for p in pairs:
         assert np.linalg.norm(p.chi) == pytest.approx(1.0, abs=1e-14)
-    if rad > 0:
-        M = coupling_matrix(kf, km, kv, variant)
-        for p in pairs:
-            assert np.linalg.norm(M @ p.chi - p.lam * p.chi) <= 1e-12
+        assert np.linalg.norm(M @ p.chi - p.lam * p.chi) <= 1e-12
 
 
 @pytest.mark.parametrize("kv", [1e-6, -1e-6])
-@pytest.mark.parametrize("variant", [False, True])
-def test_equal_magnitude_couplings_give_the_exact_root(kv, variant):
+def test_equal_magnitude_couplings_give_the_exact_root(kv):
     # |km| = |kv| cancels km^2 - kv^2 exactly; summed as squares it rounded
     # the root one ulp below 4 and the triangular matrix's eigenvector
     # missed by 2e-9
     kf, km = 4.0, 1e-6
-    pairs = spin_eigensystem(kf, km, kv, zero_energy_variant=variant)
-    M = coupling_matrix(kf, km, kv, variant)
+    pairs = spin_eigensystem(kf, km, kv)
+    M = coupling_matrix(kf, km, kv)
     assert pairs[0].lam == 4.0
     for p in pairs:
         assert np.linalg.norm(M @ p.chi - p.lam * p.chi) <= 1e-12
@@ -133,14 +126,13 @@ def test_equal_magnitude_couplings_give_the_exact_root(kv, variant):
     (1.0, 0.0, 1e-180),
     (1.0, 1e-200, 1e-200),   # one row formula vanishes, the other overflows
 ])
-@pytest.mark.parametrize("variant", [False, True])
-def test_tiny_off_diagonal_gives_unit_spinor(kf, km, kv, variant):
+def test_tiny_off_diagonal_gives_unit_spinor(kf, km, kv):
     # a row formula with a negligible denominator overflows its norm; it must
     # not be normalized into the zero vector
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pairs = spin_eigensystem(kf, km, kv, zero_energy_variant=variant)
-    M = coupling_matrix(kf, km, kv, variant)
+        pairs = spin_eigensystem(kf, km, kv)
+    M = coupling_matrix(kf, km, kv)
     tol = 1e-12 * max(1.0, abs(kf), abs(km), abs(kv))
     for p in pairs:
         assert np.linalg.norm(p.chi) == pytest.approx(1.0, abs=1e-14)
@@ -155,6 +147,31 @@ def test_critical_field_values():
     assert is_subcritical(1, 1, 1.4)
     # the boundary itself is not subcritical: the reduction degenerates there
     assert not is_subcritical(3, 4, 5.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kf=st.floats(0.1, 10),
+    km=st.floats(0.1, 10),
+    step=st.sampled_from([-1, 0, 1]),
+)
+# kv one ulp below hypot, where the radicand kf^2 + (km - kv)(km + kv) is not
+# positive although |kv| < hypot(kf, km)
+@example(kf=6.523511964174448, km=4.439337860852986, step=-1)
+def test_subcritical_rule_is_one_rule_at_the_critical_field(kf, km, step):
+    # kv is the critical field or one of its float neighbours, where
+    # |kv| < hypot(kf, km) and the factored radicand used to disagree
+    kv = critical_field(kf, km)
+    if step:
+        kv = math.nextafter(kv, step * math.inf)
+    sub = is_subcritical(kf, km, kv)
+    model = CoupledModel(kf, km, kv, TanhProfile(1.0))
+    for call in (lambda: reduce(model, +1), lambda: spin_eigensystem(kf, km, kv)):
+        if sub:
+            call()
+        else:
+            with pytest.raises(SupercriticalError):
+                call()
 
 
 def test_reduce_field_free():
