@@ -7,6 +7,8 @@ first-order system and its partner second-order reductions.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     CoupledModel,
     CustomProfile,
@@ -61,4 +63,6 @@ from .numerics import (
     selfconsistent_level,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing a submodule binds it on the package; only its names are exported
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -272,11 +272,14 @@ def closed_form_tables(model, grid):
 class BoundCensus:
     """Bound levels of the first-order operator, matched against tables.
 
-    `clusters` are the distinct E^2 values of `values` with their
-    multiplicities; `matches` holds one (table, per-level records,
-    unmatched clusters) triple per table, in the tables' order.
+    `subcritical` is susy.is_subcritical of the model's couplings; when it
+    is false the edge is 0 and `values` is empty. `clusters` are the
+    distinct E^2 values of `values` with their multiplicities; `matches`
+    holds one (table, per-level records, verdict) triple per table, in the
+    tables' order, as _match_tables returns them.
     """
 
+    subcritical: bool
     values: np.ndarray
     edge: float
     clusters: list
@@ -286,13 +289,18 @@ class BoundCensus:
 def bound_census(model, grid, tables, tol):
     """Solve, cluster and match the bound spectrum of a coupled model.
 
-    The operator is the staggered chain (numerics.build_staggered). Only
-    pairs inside the continuum edge can be bound, so that edge is the
-    eigen-window; at a zero edge (supercritical field) nothing is solved.
+    The one census step of the spectrum, sweep and arbitrate workflows.
+    susy.is_subcritical decides whether it solves: at or beyond the critical
+    field, one ulp below it included when the radicand is not positive, the
+    edge is taken as 0 and nothing is solved. Otherwise the operator is the
+    staggered chain (numerics.build_staggered); only pairs inside the
+    continuum edge can be bound, so that edge is the eigen-window, and a
+    zero edge (a profile that vanishes at a box end) solves nothing either.
     E^2 values closer than tol share a cluster.
     """
+    subcritical = susy.is_subcritical(model.kappa_f, model.kappa_m, model.kappa_v)
     profiles = model.general()
-    edge = numerics.dirac_continuum_edge(profiles, grid)
+    edge = numerics.dirac_continuum_edge(profiles, grid) if subcritical else 0.0
     values = np.empty(0)
     if edge > 0:
         matrix = numerics.build_staggered(profiles, grid)
@@ -300,7 +308,7 @@ def bound_census(model, grid, tables, tol):
         values, _ = numerics.classify_bound(result, edge).bound()
     clusters = _cluster_e_squared(values, tol)
     matches = [(table, *_match_tables(table, clusters, tol)) for table in tables]
-    return BoundCensus(values, edge, clusters, matches)
+    return BoundCensus(subcritical, values, edge, clusters, matches)
 
 
 def config_warnings(model, wilson_r):
@@ -345,6 +353,13 @@ def _match_tables(table, clusters, tol):
     to c analytic entries: the two partner-sign entries at one level index
     describe the two mirror states. Each numeric state matches at most one
     analytic entry.
+
+    Returns (records, verdict): one record per table entry, and the table's
+    one verdict, which arbitrate prints and spectrum's checks read. It holds
+    `unmatched_analytic`, the entries left unmatched; `unmatched_numeric`,
+    the (E^2, states left) of each cluster with capacity to spare;
+    `max_deviation`, the largest finite deviation over all entries; and
+    `agrees_within_tolerance`, that nothing is left unmatched on either side.
     """
     records = []
     capacity = [count for _val, count in clusters]
@@ -373,7 +388,14 @@ def _match_tables(table, clusters, tol):
     unmatched = [
         (clusters[i][0], capacity[i]) for i in range(len(clusters)) if capacity[i] > 0
     ]
-    return records, unmatched
+    devs = [r["abs_deviation"] for r in records if math.isfinite(r["abs_deviation"])]
+    missed = sum(not r["matched"] for r in records)
+    return records, {
+        "max_deviation": max(devs) if devs else 0.0,
+        "agrees_within_tolerance": not missed and not unmatched,
+        "unmatched_analytic": missed,
+        "unmatched_numeric": unmatched,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +415,18 @@ def run_spectrum(config):
     # a model without a table has nothing its levels are matched against
     checks = [] if census.matches else [_check("closed_form_table_applies", 0.0, 0.5, "ge")]
     table_reports = []
-    for table, records, unmatched in census.matches:
+    for table, records, verdict in census.matches:
         table_reports.append({
             "formula_id": table.formula_id,
             "metadata": table.metadata,
             "levels": records,
-            "unmatched_numeric": unmatched,
+            "unmatched_numeric": verdict["unmatched_numeric"],
         })
         checks.append(_check(f"{table.formula_id}_all_levels_matched",
-                             float(sum(not r["matched"] for r in records)), 0.5, "le"))
+                             float(verdict["unmatched_analytic"]), 0.5, "le"))
         checks.append(_check(f"{table.formula_id}_no_unmatched_numeric",
-                             float(len(unmatched)), 0.5, "le"))
+                             float(len(verdict["unmatched_numeric"])), 0.5, "le"))
+        # matched entries only: an unmatched entry is counted by the check above
         devs = [r["abs_deviation"] for r in records if r["matched"]]
         checks.append(_check(f"{table.formula_id}_max_e2_deviation",
                              max(devs) if devs else 0.0, tol, "le"))
@@ -466,20 +489,19 @@ def run_sweep(config):
     model = config.model
     critical = susy.critical_field(model.kappa_f, model.kappa_m)
     rows = []
-    counts = []
     for kv in config.sweep_fields:
-        m = replace(model, kappa_v=kv)
-        census = bound_census(m, config.grid, [], config.tolerances["match_e2"])
+        census = bound_census(replace(model, kappa_v=kv), config.grid, [],
+                              config.tolerances["match_e2"])
         values = census.values
         order = np.argsort(np.abs(values), kind="stable")[:5]
         rows.append({
             "kappa_v": kv,
-            "subcritical": susy.is_subcritical(m.kappa_f, m.kappa_m, kv),
+            "subcritical": census.subcritical,
             "continuum_edge": census.edge,
             "bound_count": int(len(values)),
             "lowest_energies": [float(values[i]) for i in order],
         })
-        counts.append(len(values))
+    counts = [row["bound_count"] for row in rows]
     non_increasing = all(counts[i] >= counts[i + 1] for i in range(len(counts) - 1))
     beyond = [c for kv, c in zip(config.sweep_fields, counts) if kv >= critical - 1e-12]
     checks = [
@@ -500,19 +522,8 @@ def run_arbitrate(config):
     _require(model.kappa_v != 0, "arbitrate needs kappa_v != 0")
     tol = config.tolerances["arbitrate"]
     census = bound_census(model, config.grid, closed_form_tables(model, config.grid), tol)
-    verdicts = {}
-    per_table = {}
-    for table, records, unmatched in census.matches:
-        devs = [r["abs_deviation"] for r in records if math.isfinite(r["abs_deviation"])]
-        worst = max(devs) if devs else 0.0
-        agrees = all(r["matched"] for r in records) and not unmatched
-        verdicts[table.formula_id] = {
-            "max_deviation": worst,
-            "agrees_within_tolerance": agrees,
-            "unmatched_analytic": sum(not r["matched"] for r in records),
-            "unmatched_numeric": unmatched,
-        }
-        per_table[table.formula_id] = records
+    verdicts = {table.formula_id: verdict for table, _records, verdict in census.matches}
+    per_table = {table.formula_id: records for table, records, _verdict in census.matches}
     ids = list(verdicts)
     decisive = None
     for wid, lid in (ids, ids[::-1]):

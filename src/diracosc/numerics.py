@@ -522,16 +522,17 @@ def _dirac_minus_e(f, m, v, h, psi1, psi2, energy):
     return r1, r2
 
 
-def dirac_residual(f, m, v, psi, energy, jump_mask=True):
+def dirac_residual(f, m, v, psi, energy):
     """|| (H - E) psi || / || psi || with H matrix-free at r = 0.
 
     f, m and v are the profiles sampled on the nodes of psi. The outer
     EXCLUDE_FRAC of nodes on each side is ignored (boundary stencils), as
-    are nodes straddling a profile discontinuity when jump_mask is set: the
-    continuum equation holds one-sidedly at a jump and a central difference
-    across it measures nothing. Raises VanishingSpinorError (a ValueError)
-    when psi has no probability mass on the nodes left, as on a grid too
-    coarse to keep any.
+    are the nodes straddling a jump of f, m or v (a step of more than a
+    quarter of the profile's range between neighbours): the continuum
+    equation holds one-sidedly at a jump and a central difference across it
+    measures nothing. Raises VanishingSpinorError (a ValueError) when psi
+    has no probability mass on the nodes left, as on a grid too coarse to
+    keep any.
     """
     grid = psi.grid
     r1, r2 = _dirac_minus_e(f, m, v, grid.spacing, psi.upper, psi.lower,
@@ -541,14 +542,13 @@ def dirac_residual(f, m, v, psi, energy, jump_mask=True):
     k = int(EXCLUDE_FRAC * n)
     if k > 0:
         mask[:k] = mask[-k:] = False
-    if jump_mask:
-        for prof in (f, m, v):
-            rng = prof.max() - prof.min()
-            if rng == 0:
-                continue
-            jumps = np.where(np.abs(np.diff(prof)) > 0.25 * rng)[0]
-            for j in jumps:
-                mask[max(j - 1, 0):min(j + 2, n)] = False
+    for prof in (f, m, v):
+        rng = prof.max() - prof.min()
+        if rng == 0:
+            continue
+        jumps = np.where(np.abs(np.diff(prof)) > 0.25 * rng)[0]
+        for j in jumps:
+            mask[max(j - 1, 0):min(j + 2, n)] = False
     num = np.sqrt(np.sum((np.abs(r1) ** 2 + np.abs(r2) ** 2)[mask]) * grid.spacing)
     den = np.sqrt(
         np.sum((np.abs(psi.upper) ** 2 + np.abs(psi.lower) ** 2)[mask]) * grid.spacing

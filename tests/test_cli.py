@@ -335,7 +335,8 @@ def test_one_ulp_below_the_critical_field_is_refused_alike(tmp_path, capsys):
     # kappa_v is one ulp below hypot(kappa_f, kappa_m) while the radicand
     # kf^2 + (km - kv)(km + kv) is not positive: arbitrate used to exit 0 with a
     # winner at a continuum edge of 9e-16, and sweep to call the step
-    # subcritical, while zeromode refused it
+    # subcritical and then to count one bound state there and exit 2, while
+    # zeromode refused it
     kf, km, kv = 6.523511964174448, 4.439337860852986, 7.890749583501552
     assert kv == math.nextafter(math.hypot(kf, km), 0.0)
     model = {"type": "coupled", "kappa_f": kf, "kappa_m": km, "kappa_v": kv,
@@ -351,9 +352,11 @@ def test_one_ulp_below_the_critical_field_is_refused_alike(tmp_path, capsys):
     assert "is not below the critical field" in errors[0]
     doc = base_config(workflow="sweep", model=model, sweep={"kappa_v_values": [0.0, kv]},
                       grid={"half_length": 20.0, "n_points": 401})
-    main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 0
     steps = json.loads((tmp_path / "sweep_report.json").read_text())["results"]["steps"]
     assert [step["subcritical"] for step in steps] == [True, False]
+    assert steps[1]["bound_count"] == 0
+    assert steps[1]["continuum_edge"] == 0.0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -867,6 +870,62 @@ def test_arbitrate_workflow_decisive(tmp_path):
     verdicts = report["results"]["verdicts"]
     assert verdicts["rm2_field_rederived"]["agrees_within_tolerance"]
     assert not verdicts["rm2_field_printed"]["agrees_within_tolerance"]
+
+
+def test_spectrum_check_values_follow_from_its_table_report(tmp_path):
+    # the README spectrum config: its Rosen-Morse II table lists 7 entries,
+    # one at E^2 = 0 and two (sigma = +-1) at each of 7, 12 and 15, and the
+    # README states that levels 12 and 15 come out 2.0e-3 low, beyond
+    # match_e2 = 1e-3; so 4 entries and 2 numeric clusters stay unmatched
+    table = analytic.rosen_morse2_levels(math.hypot(3.0, 4.0) * 0.8, 0.0)
+    assert sorted(round(rec.e_squared) for rec in table.entries) == [0, 7, 7, 12, 12, 15, 15]
+    missed = sorted((rec.n, rec.sigma) for rec in table.entries
+                    if round(rec.e_squared) in (12, 15))
+    doc = base_config(grid={"half_length": 20.0, "n_points": 2001},
+                      tolerances={"match_e2": 1e-3})
+    del doc["wilson_r"]
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "spectrum_report.json").read_text())
+    (table_report,) = report["results"]["analytic_tables"]
+    records = table_report["levels"]
+    assert sorted((r["n"], r["sigma"]) for r in records if not r["matched"]) == missed
+    assert len(table_report["unmatched_numeric"]) == 2
+    values = {check["name"]: check["value"] for check in report["checks"]}
+    assert values == {
+        "rosen_morse2_all_levels_matched": float(len(missed)),
+        "rosen_morse2_no_unmatched_numeric": 2.0,
+        "rosen_morse2_max_e2_deviation": max(r["abs_deviation"] for r in records
+                                             if r["matched"]),
+    }
+
+
+def test_arbitrate_verdicts_follow_from_its_level_records(tmp_path):
+    # the AC-5 model at kappa_v = 2: every verdict is what its own level
+    # records and the report's clusters give; the printed table misses, so
+    # both outcomes are covered
+    doc = base_config(
+        workflow="arbitrate",
+        model={"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 2.0,
+               "profile": {"type": "tanh", "amplitude": 1.0, "shift": 0.0}},
+        grid={"half_length": 20.0, "n_points": 1201})
+    del doc["wilson_r"], doc["tolerances"]
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "arbitrate_report.json").read_text())["results"]
+    clusters = results["bound_e_squared_clusters"]
+    agreed = []
+    for formula_id, verdict in results["verdicts"].items():
+        records = results["levels"][formula_id]
+        missed = sum(not r["matched"] for r in records)
+        used = [sum(r["numeric_e2"] == val for r in records) for val, _count in clusters]
+        spare = [[val, count - n] for (val, count), n in zip(clusters, used) if count > n]
+        devs = [r["abs_deviation"] for r in records if math.isfinite(r["abs_deviation"])]
+        assert verdict == {"unmatched_analytic": missed, "unmatched_numeric": spare,
+                           "agrees_within_tolerance": not missed and not spare,
+                           "max_deviation": max(devs, default=0.0)}, formula_id
+        agreed.append(verdict["agrees_within_tolerance"])
+    assert sorted(agreed) == [False, True]
 
 
 def test_report_determinism(tmp_path):

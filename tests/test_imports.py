@@ -60,8 +60,8 @@ def test_loaded_name_scan_skips_definitions_and_imports():
 
 def test_every_export_is_used():
     # an export must be reached by the library itself, an acceptance test or
-    # a benchmark op; a unit test of itself does not count. Submodules are
-    # in __all__ because importing them binds them on the package.
+    # a benchmark op; a unit test of itself does not count. A submodule is
+    # bound on the package by importing it, but `import *` must not bind it.
     import diracosc
 
     paths = [p for p in sorted((ROOT / "src" / "diracosc").glob("*.py"))
@@ -69,9 +69,10 @@ def test_every_export_is_used():
     paths += [ROOT / "tests" / "test_acceptance.py",
               *sorted((ROOT / "perfbench").glob("*.py"))]
     used = set().union(*(loaded_names(p.read_text()) for p in paths))
-    exports = [name for name in diracosc.__all__ if name != "__version__"
-               and not inspect.ismodule(getattr(diracosc, name))]
+    exports = [name for name in diracosc.__all__ if name != "__version__"]
     assert exports
+    modules = [name for name in exports if inspect.ismodule(getattr(diracosc, name))]
+    assert not modules, "submodules in __all__: " + ", ".join(modules)
     unused = [name for name in exports if name not in used]
     assert not unused, "exports nothing uses: " + ", ".join(unused)
 
