@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, analytic, numerics, susy, zeromodes
-from .errors import (
-    ConfigError,
-    ConstructionFailedError,
-    DiracOscError,
-    SupercriticalError,
-)
+from .errors import ConfigError, ConstructionFailedError, DiracOscError
 from .model import (
     CoupledModel,
     Grid,
@@ -292,7 +287,8 @@ def bound_census(model, grid, tables, tol):
     The one census step of the spectrum, sweep and arbitrate workflows.
     susy.is_subcritical decides whether it solves: at or beyond the critical
     field, one ulp below it included when the radicand is not positive, the
-    edge is taken as 0 and nothing is solved. Otherwise the operator is the
+    edge is taken as 0 and nothing is solved, and couplings whose squares
+    overflow raise CouplingOverflowError. Otherwise the operator is the
     staggered chain (numerics.build_staggered); only pairs inside the
     continuum edge can be bound, so that edge is the eigen-window, and a
     zero edge (a profile that vanishes at a box end) solves nothing either.
@@ -403,10 +399,8 @@ def _match_tables(table, clusters, tol):
 
 def run_spectrum(config):
     model = config.model
-    if not susy.is_subcritical(model.kappa_f, model.kappa_m, model.kappa_v):
-        raise SupercriticalError(
-            model.kappa_v, susy.critical_field(model.kappa_f, model.kappa_m)
-        )
+    # raises on a supercritical or overflowing coupling
+    susy.subcritical_radicand(model.kappa_f, model.kappa_m, model.kappa_v)
     _require(model.kappa_v == 0,
              "the spectrum workflow handles kappa_v = 0; use 'arbitrate' for "
              "the electric-field formula contest")
@@ -516,12 +510,12 @@ def run_sweep(config):
 
 def run_arbitrate(config):
     model = config.model
-    prof = model.profile
-    _require(isinstance(prof, TanhProfile) and prof.shift == 0,
-             "arbitrate needs a pure tanh profile (shift 0)")
-    _require(model.kappa_v != 0, "arbitrate needs kappa_v != 0")
+    tables = closed_form_tables(model, config.grid)
+    # two tables come only as the rival electric-field variants
+    _require(len(tables) == 2,
+             "arbitrate needs a pure tanh profile (shift 0) and kappa_v != 0")
     tol = config.tolerances["arbitrate"]
-    census = bound_census(model, config.grid, closed_form_tables(model, config.grid), tol)
+    census = bound_census(model, config.grid, tables, tol)
     verdicts = {table.formula_id: verdict for table, _records, verdict in census.matches}
     per_table = {table.formula_id: records for table, records, _verdict in census.matches}
     ids = list(verdicts)
@@ -572,13 +566,9 @@ def _check(name, value, tolerance, op):
 
 
 def _json_default(obj):
-    """Encode the numpy and complex values the json module does not know."""
+    """Encode the numpy arrays and complex values the json module does not know."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -811,9 +801,6 @@ def main(argv=None):
         code, report_path = run(config, out_dir=args.out)
         print(f"report written to {report_path}")
         return code
-    except SupercriticalError as err:
-        print(f"error: {err} (critical field = {err.critical:g})", file=sys.stderr)
-        return 1
     except (DiracOscError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -5,7 +5,8 @@ selects one partner potential wtilde^2 - sigma*wtilde'. The reduction is
 well defined only below the critical coupling sqrt(kf^2 + km^2); at or above
 it the square root turns zero or imaginary and the shifted superpotential
 degenerates, so those inputs are refused. One radicand,
-kf^2 + (km - kv)(km + kv), decides that everywhere.
+kf^2 + (km - kv)(km + kv), decides that everywhere, and it refuses couplings
+whose squares overflow, so every reader refuses them alike.
 """
 
 from dataclasses import dataclass
@@ -53,19 +54,22 @@ def _radicand(kf, km, kv):
     The product is exact when |km| = |kv|: summed as squares it rounds, and
     at kf = 4, km = kv = 1e-6 the root came out one ulp below 4, which left
     the eigenvector of the then triangular matrix a residual of 2e-9.
+
+    Raises CouplingOverflowError (a ValueError) when kf^2 + km^2 - kv^2,
+    summed as squares, is infinite or NaN: such couplings leave no verdict,
+    eigenvalue, shift or scale to report, so every reader refuses them.
     """
+    if not math.isfinite(kf * kf + km * km - kv * kv):
+        raise CouplingOverflowError(kf, km, kv)
     return kf * kf + (km - kv) * (km + kv)
 
 
 def subcritical_radicand(kf, km, kv):
     """The radicand kf^2 + km^2 - kv^2 of a subcritical coupling.
 
-    Raises CouplingOverflowError (a ValueError) when kf^2 + km^2 - kv^2 is
-    infinite or NaN, which leaves no eigenvalue, shift or scale to report,
-    and SupercriticalError when the radicand is not positive.
+    Raises CouplingOverflowError as _radicand does, and SupercriticalError
+    when the radicand is not positive.
     """
-    if not math.isfinite(kf * kf + km * km - kv * kv):
-        raise CouplingOverflowError(kf, km, kv)
     rad = _radicand(kf, km, kv)
     if not rad > 0:
         raise SupercriticalError(kv, critical_field(kf, km))
@@ -96,7 +100,8 @@ def is_subcritical(kf, km, kv):
 
     It reads the same radicand that `reduce` and `spin_eigensystem` take the
     root of, so the three agree on every coupling, one ulp from the critical
-    field included. An overflowing radicand is not refused here.
+    field included, and like them it raises CouplingOverflowError when the
+    squares overflow.
     """
     return _radicand(kf, km, kv) > 0
 

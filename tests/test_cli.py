@@ -170,6 +170,9 @@ HUGE_F_MODEL = {"type": "coupled", "kappa_f": 3000.0, "kappa_m": 0.0, "kappa_v":
 TABLE_REFUSAL = ("the closed-form tables of this model (A = {}) list up to 2*ceil(A) - 1 "
                  "candidate levels, more than the 401 eigenvalues of the operator at "
                  "grid.n_points 201")
+OVERFLOW_REFUSAL = ("kappa_f^2 + kappa_m^2 - kappa_v^2 is not finite at kappa_f = 1e+200, "
+                    "kappa_m = 0, kappa_v = {}; the couplings are too large")
+ARBITRATE_REFUSAL = "arbitrate needs a pure tanh profile (shift 0) and kappa_v != 0"
 
 
 def test_parse_config_builds_typed_values():
@@ -239,7 +242,9 @@ def test_parse_config_builds_typed_values():
     # check: 5999 levels against 401 eigenvalues ran and exited 2, and at
     # A = 1e200 the table overflowed in a traceback
     ({"model": HUGE_F_MODEL}, TABLE_REFUSAL.format("3000")),
-    ({"model": {**HUGE_F_MODEL, "kappa_f": 1e200}}, TABLE_REFUSAL.format("1e+200")),
+    ({"model": {**HUGE_F_MODEL, "kappa_f": 1e100,
+                "profile": {"type": "tanh", "amplitude": 1e100}}},
+     TABLE_REFUSAL.format("1e+200")),
     ({"workflow": "arbitrate", "model": {**HUGE_F_MODEL, "kappa_v": 1.0}},
      TABLE_REFUSAL.format("3000")),
     # json reads NaN and +-Infinity: an infinite match_e2 passed every level
@@ -260,8 +265,21 @@ def test_parse_config_builds_typed_values():
       "model": {**base_config()["model"], "kappa_f": 1e200, "kappa_m": 0.0,
                 "profile": {"type": "tanh_power", "exponent": 3, "shift": 0.5}},
       "grid": {"half_length": 24.0, "n_points": 201}},
-     "kappa_f^2 + kappa_m^2 - kappa_v^2 is not finite at kappa_f = 1e+200, "
-     "kappa_m = 0, kappa_v = 0; the couplings are too large"),
+     OVERFLOW_REFUSAL.format("0")),
+    # the census read kappa_f^2 = inf as subcritical: spectrum stopped at the
+    # table refusal, and the sweep exited 0 with hundreds of "bound states" and
+    # numpy overflow warnings; inf - inf = NaN read as not subcritical
+    ({"model": {**HUGE_F_MODEL, "kappa_f": 1e200}}, OVERFLOW_REFUSAL.format("0")),
+    ({"workflow": "sweep", "model": {**HUGE_F_MODEL, "kappa_f": 1e200},
+      "sweep": {"kappa_v_values": [0.0, 1.0, 9e199]}}, OVERFLOW_REFUSAL.format("0")),
+    ({"workflow": "sweep", "model": {**HUGE_F_MODEL, "kappa_f": 1e200},
+      "sweep": {"kappa_v_values": [9e199]}}, OVERFLOW_REFUSAL.format("9e+199")),
+    # arbitrate takes only the two rival field tables, whatever rules them out
+    ({"workflow": "arbitrate"}, ARBITRATE_REFUSAL),
+    ({"workflow": "arbitrate",
+      "model": {**base_config()["model"], "kappa_v": 1.0,
+                "profile": {"type": "tanh", "amplitude": 0.8, "shift": 0.3}}},
+     ARBITRATE_REFUSAL),
 ], ids=["tolerance-typo", "kapa_v", "enrgy", "kappa_v_value", "kappa_f-true",
         "half_length-true", "schema-true", "lambda-true", "match_e2-true", "wilson_r-true",
         "f_plus-string", "amplitude-string", "output_dir-number", "exponent-float",
@@ -269,7 +287,9 @@ def test_parse_config_builds_typed_values():
         "n_points-huge", "kappa_f-overflow", "amplitude-overflow", "table-3000",
         "table-1e200", "arbitrate-table-3000", "match_e2-infinity",
         "kappa_v_values-infinity", "half_length-infinity", "kappa_m-minus-infinity",
-        "kappa_f-nan", "zeromode-kappa_f-1e200"])
+        "kappa_f-nan", "zeromode-kappa_f-1e200", "spectrum-kappa_f-1e200",
+        "sweep-kappa_f-1e200", "sweep-radicand-nan", "arbitrate-kappa_v-0",
+        "arbitrate-shifted-tanh"])
 def test_refused_config_writes_nothing(tmp_path, capsys, overrides, message):
     # each of these used to run anyway, end in a traceback, stop with a wrong
     # message, or stop only after the output directory had been made
@@ -327,8 +347,10 @@ def test_cli_main_supercritical_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     code = main(["run", "--config", path, "--out", str(tmp_path)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "critical" in err and "5" in err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: |kappa_v| = 6 is not below the critical field 5; the reduced "
+        "problem is degenerate or complex"
+    ]
 
 
 def test_one_ulp_below_the_critical_field_is_refused_alike(tmp_path, capsys):

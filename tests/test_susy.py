@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracosc.errors import SupercriticalError
+from diracosc.errors import CouplingOverflowError, SupercriticalError
 from diracosc.model import CoupledModel, TanhProfile
 from diracosc.susy import (
     coupling_matrix,
@@ -147,6 +147,14 @@ def test_critical_field_values():
     assert is_subcritical(1, 1, 1.4)
     # the boundary itself is not subcritical: the reduction degenerates there
     assert not is_subcritical(3, 4, 5.0)
+
+
+@pytest.mark.parametrize("kv", [0.0, 9e199])
+def test_is_subcritical_refuses_overflowing_couplings(kv):
+    # kf^2 overflows: the predicate read inf > 0 as subcritical at kv = 0 and
+    # inf - inf = NaN as not subcritical at kv = 9e199, where reduce refuses
+    with pytest.raises(CouplingOverflowError):
+        is_subcritical(1e200, 0.0, kv)
 
 
 @settings(max_examples=200, deadline=None)
