@@ -1,12 +1,17 @@
 """Closed-form bound-state catalogs for the tanh/sech superpotential families.
 
-Level energies follow the standard shape-invariance results. Every table
-applies two filters before listing a level: E^2 >= 0, and the per-level
-normalizability condition (A - n)^2 > |B| for the tilted-tanh family (the
-level formula keeps producing numbers past that point, but the corresponding
-wavefunction stops decaying on one side and the state is absent from the
-discrete spectrum). Filtered candidates are recorded in the table metadata
-rather than dropped silently.
+Level energies follow the standard shape-invariance results. One builder
+lists every table: it walks sigma = +1 from n = 0 and sigma = -1 from n = 1,
+for every n < A, and applies one filter, the per-level normalizability
+condition (A - n)^2 > |B| (the level formula keeps producing numbers past
+that point, but the corresponding wavefunction stops decaying on one side and
+the state is absent from the discrete spectrum). Filtered candidates are
+recorded in the table metadata rather than dropped silently. No other filter
+is needed: n = 0 is the E^2 = 0 level, and every n >= 1 level has E^2 > 0.
+For 1 <= n < A, Scarf II gives E^2 = n(2A - n) and the field variants
+n(2A - n)/(1 + ...); for Rosen-Morse II, c = (A - n)^2 > |B| gives
+E^2 = (A^2 - c)(1 - B^2/(A^2 c)) > (A^2 - c)^2/A^2 >= 1, orders of magnitude
+above rounding for every A a grid accepts (A <= n_points).
 """
 
 from dataclasses import dataclass, field
@@ -41,11 +46,24 @@ class LevelTable:
         return [r.e_squared for r in self.entries if sigma is None or r.sigma == sigma]
 
 
-def _sigma_range(nmax):
-    """Level indices per partner: sigma=+1 starts at 0, sigma=-1 at 1."""
+def _levels(formula_id, a, candidate, metadata):
+    """The table of every level n < a: sigma = +1 from n = 0, sigma = -1 from
+    n = 1 (empty for a <= 0).
+
+    candidate(n) gives (E^2, whether (A-n)^2 <= |B|); a candidate for which
+    that holds is recorded under metadata["excluded"] instead of listed.
+    """
+    entries, excluded = [], []
     for sigma, start in ((+1, 0), (-1, 1)):
-        for n in range(start, nmax + 1):
-            yield sigma, n
+        for n in range(start, math.ceil(a)):
+            e2, unbound = candidate(n)
+            if unbound:
+                excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
+                                 "reason": "non-normalizable: (A-n)^2 <= |B|"})
+            else:
+                entries.append(LevelRecord(n, sigma, e2))
+    metadata["excluded"] = excluded
+    return LevelTable(tuple(entries), formula_id, metadata)
 
 
 def scarf2_levels(a, b=0.0):
@@ -53,19 +71,13 @@ def scarf2_levels(a, b=0.0):
 
     a <= 0 binds nothing and yields an empty table.
     """
-    entries = []
-    meta = {"A": a, "B": b, "excluded": []}
-    if a > 0:
-        nmax = math.ceil(a) - 1
-        for sigma, n in _sigma_range(nmax):
-            e2 = a * a - (a - n) ** 2
-            entries.append(LevelRecord(n, sigma, e2))
-    return LevelTable(tuple(entries), "scarf2", meta)
+    return _levels("scarf2", a, lambda n: (a * a - (a - n) ** 2, False),
+                   {"A": a, "B": b})
 
 
 def _rm2_candidate(a, b, n):
     # grouped so that each bracket vanishes exactly at n = 0; the ungrouped
-    # sum rounds the ground level to about -1e-15 and files it as negative
+    # sum rounds the ground level to about -1e-15
     an = a - n
     return (a * a - an * an) + b * b * (1.0 / (a * a) - 1.0 / (an * an))
 
@@ -73,32 +85,20 @@ def _rm2_candidate(a, b, n):
 def rosen_morse2_levels(a, b):
     """Tilted-tanh family: E^2 = A^2 + B^2/A^2 - (A-n)^2 - B^2/(A-n)^2.
 
-    Requires a > 0 and b < a^2. Candidates with E^2 < 0 or with
-    (A-n)^2 <= |B| are recorded as excluded, not listed.
+    Requires a > 0 and b < a^2. Candidates with (A-n)^2 <= |B| are recorded
+    as excluded, not listed; every listed level has E^2 >= 0 (see the module
+    docstring).
     """
     if a <= 0:
         raise ConstraintError(f"need A > 0, got {a}")
     if b >= a * a:
         raise ConstraintError(f"need B < A^2, got B={b}, A^2={a * a}")
-    entries = []
-    excluded = []
-    nmax = math.ceil(a) - 1
-    for sigma, n in _sigma_range(nmax):
-        e2 = _rm2_candidate(a, b, n)
-        if (a - n) ** 2 <= abs(b):
-            excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
-                             "reason": "non-normalizable: (A-n)^2 <= |B|"})
-            continue
-        if e2 < 0:
-            excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
-                             "reason": "negative E^2"})
-            continue
-        entries.append(LevelRecord(n, sigma, e2))
-    return LevelTable(tuple(entries), "rosen_morse2",
-                      {"A": a, "B": b, "excluded": excluded})
+    return _levels("rosen_morse2", a,
+                   lambda n: (_rm2_candidate(a, b, n), (a - n) ** 2 <= abs(b)),
+                   {"A": a, "B": b})
 
 
-def _field_variant(formula_id, alpha0, kappa, denom_coupling, kv, nmax):
+def _field_variant(formula_id, alpha0, kappa, denom_coupling, kv):
     """Common machinery for the two electric-field level formulas.
 
     E^2 = [alpha0^2 kappa^2 - (alpha0 kappa - n)^2]
@@ -108,25 +108,13 @@ def _field_variant(formula_id, alpha0, kappa, denom_coupling, kv, nmax):
     B = alpha0*kv*E evaluated from the variant's own energy.
     """
     a = alpha0 * kappa
-    entries = []
-    excluded = []
-    for sigma, n in _sigma_range(nmax):
+
+    def candidate(n):
         an = a - n
-        if an == 0:
-            continue
         e2 = (a * a - an * an) / (1.0 + (alpha0 * denom_coupling) ** 2 / an**2)
-        if e2 < 0:
-            excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
-                             "reason": "negative E^2"})
-            continue
-        b_self = alpha0 * abs(kv) * math.sqrt(e2)
-        if an * an <= b_self:
-            excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
-                             "reason": "non-normalizable: (A-n)^2 <= |B|"})
-            continue
-        entries.append(LevelRecord(n, sigma, e2))
-    return LevelTable(tuple(entries), formula_id,
-                      {"A": a, "alpha0": alpha0, "excluded": excluded})
+        return e2, an * an <= alpha0 * abs(kv) * math.sqrt(e2)
+
+    return _levels(formula_id, a, candidate, {"A": a, "alpha0": alpha0})
 
 
 def rm2_with_field_levels(alpha0, kf, km, kv):
@@ -148,13 +136,8 @@ def rm2_with_field_levels(alpha0, kf, km, kv):
         raise ConstraintError(f"need alpha0 > 0, got {alpha0}")
     kprime = math.sqrt(subcritical_radicand(kf, km, kv))
     kappa = math.hypot(kf, km)
-    printed = _field_variant(
-        "rm2_field_printed", alpha0, kappa, kappa, kv, math.ceil(alpha0 * kappa) - 1
-    )
-    rederived = _field_variant(
-        "rm2_field_rederived", alpha0, kprime, kv, kv, math.ceil(alpha0 * kprime) - 1
-    )
-    return printed, rederived
+    return (_field_variant("rm2_field_printed", alpha0, kappa, kappa, kv),
+            _field_variant("rm2_field_rederived", alpha0, kprime, kv, kv))
 
 
 @dataclass(frozen=True)

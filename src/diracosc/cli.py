@@ -232,21 +232,24 @@ def closed_form_tables(model, grid):
     """Every closed-form level table that applies to a coupled model.
 
     At kappa_v = 0: Scarf II for a tanh_sech profile and Rosen-Morse II for
-    a tanh one (shifted or not). At kappa_v != 0: both electric-field
-    variants for a shift-0 tanh profile, which raise SupercriticalError at
-    or beyond the critical field. Any other model has none. A table of
-    amplitude A lists at most 2*ceil(A) - 1 candidate levels; ConfigError
-    refuses the model, before any table is built, when that is more than
-    the 2*n_points - 1 eigenvalues of the census operator on `grid`: such a
+    a tanh one (shifted or not), of A = kappa*|a| or kappa*|amplitude|: there
+    W and -W share their E^2 levels, and the Rosen-Morse tilt
+    B = kappa^2*amplitude*shift is the same for both. At kappa_v != 0: both
+    electric-field variants for a shift-0 tanh profile, which raise
+    SupercriticalError at or beyond the critical field and ConstraintError
+    for amplitude <= 0. Any other model has none. A table of amplitude A
+    lists at most 2*ceil(A) - 1 candidate levels; ConfigError refuses the
+    model, before any table is built, when that is more than the
+    2*n_points - 1 eigenvalues of the census operator on `grid`: such a
     table cannot be matched, and one of astronomic A would take forever to
     list or overflow.
     """
     prof = model.profile
     kappa = math.hypot(model.kappa_f, model.kappa_m)
     if model.kappa_v == 0 and isinstance(prof, TanhSechProfile):
-        a = kappa * prof.a
+        a = kappa * abs(prof.a)
     elif isinstance(prof, TanhProfile) and (model.kappa_v == 0 or prof.shift == 0):
-        a = kappa * prof.amplitude
+        a = kappa * (abs(prof.amplitude) if model.kappa_v == 0 else prof.amplitude)
     else:
         return []
     n = grid.n_points

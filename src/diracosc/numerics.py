@@ -60,7 +60,7 @@ import math
 
 import numpy as np
 
-from . import kernels
+from . import kernels, susy
 from .errors import (
     BoxStateError,
     LatticeThresholdError,
@@ -320,16 +320,18 @@ def _mirrored_pairs(band, hi, norm):
     Only (-tol, hi] is solved, tol = BISECT_TOL*||T||; every pair whose value
     exceeds tol also gives the pair (-value, reversed vector), with its
     residual taken on the stored band. The result stands only when one Sturm
-    count of (-hi, hi] equals the number of pairs; otherwise it is None.
+    count of (-hi, hi] equals the number of pairs; otherwise it is None. Its
+    bisected values are None: only an index solve reads them, and an index
+    solve is never mirrored.
     """
-    bis, vals, vecs, res = _pairs(band, "v", (-BISECT_TOL * norm, hi), norm)
+    _, vals, vecs, res = _pairs(band, "v", (-BISECT_TOL * norm, hi), norm)
     up = np.flatnonzero(vals > BISECT_TOL * norm)[::-1]
     if _sturm_count(band, -hi, hi) != len(vals) + len(up):
         return None
     mvals, mvecs = -vals[up], vecs[::-1, up]
     mres = np.linalg.norm(kernels.band_matvec(band, mvecs) - mvecs * mvals, axis=0)
-    return (np.concatenate([-bis[up], bis]), np.concatenate([mvals, vals]),
-            np.hstack([mvecs, vecs]), np.concatenate([mres, res]))
+    return (None, np.concatenate([mvals, vals]), np.hstack([mvecs, vecs]),
+            np.concatenate([mres, res]))
 
 
 def eigensolve(matrix, k=None, window=None, index=None):
@@ -501,7 +503,7 @@ def dirac_continuum_edge(profiles, grid):
 def schrodinger_continuum_edge(reduced, grid):
     """min over the two ends of wtilde^2 for a reduced partner problem."""
     ends = np.array([-grid.half_length, grid.half_length])
-    return float(np.min(np.real(reduced.w_tilde(ends)) ** 2))
+    return float(np.min(reduced.w_tilde(ends) ** 2))
 
 
 def _central(psi, h):
@@ -598,12 +600,10 @@ def _newton_level(model, sigma, level, grid, seed_energy):
 
     Returns (energy, eps, iterations, reduced problem of the last solve).
     """
-    from .susy import reduce as susy_reduce
-
     E = float(seed_energy)
     sgn = 1.0 if E >= 0 else -1.0
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
-        red = susy_reduce(model, sigma, energy=E)
+        red = susy.reduce(model, sigma, energy=E)
         pot = ScalarField(grid, red.effective_potential(grid.nodes))
         res = eigensolve(build_schrodinger(pot), index=level)
         eps = float(res.values[0])

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracosc.analytic import (
+    LevelRecord,
+    LevelTable,
     rm2_with_field_levels,
     rosen_morse2_levels,
     scarf2_levels,
     transformed_potential_parameters,
 )
 from diracosc.errors import ConstraintError, SupercriticalError
+from diracosc.susy import subcritical_radicand
 
 
 def test_scarf2_reference_tower():
@@ -69,8 +72,8 @@ def test_rosen_morse2_reference_values():
 
 
 def test_rosen_morse2_ground_level_survives_rounding():
-    # the ungrouped level sum gives -1.8e-15 here and dropped n = 0 as
-    # "negative E^2"; the ground level of a bound tilt is exactly 0
+    # the ungrouped level sum gives -1.8e-15 here; the ground level of a
+    # bound tilt is exactly 0
     table = rosen_morse2_levels(2.7, 6.29)
     ground = [r for r in table.entries if r.n == 0]
     assert len(ground) == 1 and ground[0].e_squared == 0.0
@@ -203,3 +206,161 @@ def test_transformed_round_trip_identity(lam, n):
     lhs = p.lam**2 + p.nu**2
     rhs = (p.lam - 1 - p.n) ** 2 + p.lam**2 * p.nu**2 / (p.lam - 1 - p.n) ** 2
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, lhs))
+
+
+# The level tables as three separate loops, each with its own filters: a
+# reference for the one builder that lists every table now.
+
+def reference_sigma_range(nmax):
+    for sigma, start in ((+1, 0), (-1, 1)):
+        for n in range(start, nmax + 1):
+            yield sigma, n
+
+
+def reference_scarf2(a, b=0.0):
+    entries = []
+    meta = {"A": a, "B": b, "excluded": []}
+    if a > 0:
+        nmax = math.ceil(a) - 1
+        for sigma, n in reference_sigma_range(nmax):
+            e2 = a * a - (a - n) ** 2
+            entries.append(LevelRecord(n, sigma, e2))
+    return LevelTable(tuple(entries), "scarf2", meta)
+
+
+def reference_rm2_candidate(a, b, n):
+    an = a - n
+    return (a * a - an * an) + b * b * (1.0 / (a * a) - 1.0 / (an * an))
+
+
+def reference_rosen_morse2(a, b):
+    if a <= 0:
+        raise ConstraintError(f"need A > 0, got {a}")
+    if b >= a * a:
+        raise ConstraintError(f"need B < A^2, got B={b}, A^2={a * a}")
+    entries = []
+    excluded = []
+    nmax = math.ceil(a) - 1
+    for sigma, n in reference_sigma_range(nmax):
+        e2 = reference_rm2_candidate(a, b, n)
+        if (a - n) ** 2 <= abs(b):
+            excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
+                             "reason": "non-normalizable: (A-n)^2 <= |B|"})
+            continue
+        if e2 < 0:
+            excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
+                             "reason": "negative E^2"})
+            continue
+        entries.append(LevelRecord(n, sigma, e2))
+    return LevelTable(tuple(entries), "rosen_morse2",
+                      {"A": a, "B": b, "excluded": excluded})
+
+
+def reference_field_variant(formula_id, alpha0, kappa, denom_coupling, kv, nmax):
+    a = alpha0 * kappa
+    entries = []
+    excluded = []
+    for sigma, n in reference_sigma_range(nmax):
+        an = a - n
+        if an == 0:
+            continue
+        e2 = (a * a - an * an) / (1.0 + (alpha0 * denom_coupling) ** 2 / an**2)
+        if e2 < 0:
+            excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
+                             "reason": "negative E^2"})
+            continue
+        b_self = alpha0 * abs(kv) * math.sqrt(e2)
+        if an * an <= b_self:
+            excluded.append({"n": n, "sigma": sigma, "e_squared": e2,
+                             "reason": "non-normalizable: (A-n)^2 <= |B|"})
+            continue
+        entries.append(LevelRecord(n, sigma, e2))
+    return LevelTable(tuple(entries), formula_id,
+                      {"A": a, "alpha0": alpha0, "excluded": excluded})
+
+
+def reference_rm2_with_field(alpha0, kf, km, kv):
+    if alpha0 <= 0:
+        raise ConstraintError(f"need alpha0 > 0, got {alpha0}")
+    kprime = math.sqrt(subcritical_radicand(kf, km, kv))
+    kappa = math.hypot(kf, km)
+    printed = reference_field_variant(
+        "rm2_field_printed", alpha0, kappa, kappa, kv, math.ceil(alpha0 * kappa) - 1
+    )
+    rederived = reference_field_variant(
+        "rm2_field_rederived", alpha0, kprime, kv, kv, math.ceil(alpha0 * kprime) - 1
+    )
+    return printed, rederived
+
+
+def outcome(build, *args):
+    """repr of what build(*args) returns or raises: repr keeps every float
+    bit, -0.0 included, and the metadata's key order. Both raise alike, a
+    ZeroDivisionError included where (A - n)^2 underflows at tiny A."""
+    try:
+        return repr(build(*args))
+    except (ArithmeticError, ConstraintError, SupercriticalError) as err:
+        return repr(err)
+
+
+# amplitudes up to 60, whole and half ones among them, so that n = A and
+# (A-n)^2 = |B| are hit exactly
+amplitudes = st.one_of(st.floats(-2.0, 60.0), st.integers(-2, 60).map(float),
+                       st.integers(-4, 120).map(lambda k: k / 2))
+
+
+@st.composite
+def tilts(draw):
+    """(A, B) with B often exactly +-(A - k)^2, the decay threshold of level k."""
+    a = draw(amplitudes)
+    k = draw(st.integers(0, 60))
+    return a, draw(st.one_of(
+        st.floats(-3.0, 1.0).map(lambda frac: frac * a * a),
+        st.sampled_from([-1.0, 1.0]).map(lambda sign: sign * (a - k) ** 2),
+        st.floats(-1e3, 1e3)))
+
+
+couplings = st.one_of(st.floats(-8.0, 8.0), st.integers(-8, 8).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ab=tilts(), field=st.tuples(st.floats(-0.5, 6.0), couplings, couplings, couplings))
+def test_tables_match_the_three_loop_reference_bit_for_bit(ab, field):
+    # same entries (n, sigma, E^2 bits), same metadata, same refusals
+    assert outcome(scarf2_levels, *ab) == outcome(reference_scarf2, *ab)
+    assert outcome(rosen_morse2_levels, *ab) == outcome(reference_rosen_morse2, *ab)
+    assert outcome(rm2_with_field_levels, *field) == outcome(reference_rm2_with_field,
+                                                             *field)
+
+
+def assert_one_filter(table, unbound):
+    """Every candidate is excluded exactly when unbound(n, E^2) says
+    (A-n)^2 <= |B|, and every listed n >= 1 level has E^2 > 0."""
+    for rec in table.entries:
+        assert not unbound(rec.n, rec.e_squared)
+        assert rec.n == 0 or rec.e_squared > 0
+    for rec in table.metadata["excluded"]:
+        assert rec["reason"] == "non-normalizable: (A-n)^2 <= |B|"
+        assert unbound(rec["n"], rec["e_squared"])
+
+
+# kept away from 0 so that (A - n)^2 cannot underflow
+scaled = st.one_of(st.just(0.0), st.floats(1e-3, 8.0), st.floats(-8.0, -1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ab=tilts(), field=st.tuples(st.floats(0.01, 6.0), scaled, scaled, scaled))
+def test_tables_exclude_only_non_normalizable_levels(ab, field):
+    a, b = ab
+    assert_one_filter(scarf2_levels(a, b), lambda n, e2: False)
+    if a > 0 and b < a * a:
+        assert_one_filter(rosen_morse2_levels(a, b), lambda n, e2: (a - n) ** 2 <= abs(b))
+    alpha0, kf, km, kv = field
+    try:
+        tables = rm2_with_field_levels(alpha0, kf, km, kv)
+    except SupercriticalError:
+        return
+    for table in tables:
+        amp = table.metadata["A"]
+        assert_one_filter(table, lambda n, e2: (amp - n) * (amp - n)
+                          <= alpha0 * abs(kv) * math.sqrt(e2))

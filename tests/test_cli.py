@@ -109,8 +109,9 @@ def test_profile_rejects_keys_its_type_does_not_take(tmp_path, capsys, spec, unk
     ({"kappa_v": 0.0, "profile": LinearProfile(1.0)}, []),
     ({"kappa_v": 2.0, "profile": LinearProfile(1.0)}, []),
     ({"kappa_v": 0.0, "profile": TanhPowerProfile(3)}, []),
+    ({"kappa_v": 0.0, "profile": TanhProfile(-0.8, shift=-0.1)}, ["rosen_morse2"]),
 ], ids=["tanh", "shifted-tanh", "tanh_sech", "tanh-field", "shifted-tanh-field",
-        "tanh_sech-field", "linear", "linear-field", "tanh_power"])
+        "tanh_sech-field", "linear", "linear-field", "tanh_power", "negated-tanh"])
 def test_closed_form_tables_lookup(model, tables):
     found = closed_form_tables(CoupledModel(3.0, 4.0, **model), Grid(20.0, 201))
     assert [table.formula_id for table in found] == tables
@@ -247,6 +248,10 @@ def test_parse_config_builds_typed_values():
      TABLE_REFUSAL.format("1e+200")),
     ({"workflow": "arbitrate", "model": {**HUGE_F_MODEL, "kappa_v": 1.0}},
      TABLE_REFUSAL.format("3000")),
+    # at kappa_v = 0 a negated amplitude has the table of its twin, so the
+    # size bound holds for it too (it stopped with "need A > 0")
+    ({"model": {**HUGE_F_MODEL, "profile": {"type": "tanh", "amplitude": -1.0}}},
+     TABLE_REFUSAL.format("3000")),
     # json reads NaN and +-Infinity: an infinite match_e2 passed every level
     # (exit 0), an infinite field ended in a traceback, and an infinite box
     # in numpy warnings and a misleading non-finite-profile error
@@ -285,11 +290,11 @@ def test_parse_config_builds_typed_values():
         "f_plus-string", "amplitude-string", "output_dir-number", "exponent-float",
         "profile-type", "step-spectrum", "spectrum-field", "energy-window",
         "n_points-huge", "kappa_f-overflow", "amplitude-overflow", "table-3000",
-        "table-1e200", "arbitrate-table-3000", "match_e2-infinity",
-        "kappa_v_values-infinity", "half_length-infinity", "kappa_m-minus-infinity",
-        "kappa_f-nan", "zeromode-kappa_f-1e200", "spectrum-kappa_f-1e200",
-        "sweep-kappa_f-1e200", "sweep-radicand-nan", "arbitrate-kappa_v-0",
-        "arbitrate-shifted-tanh"])
+        "table-1e200", "arbitrate-table-3000", "negated-table-3000",
+        "match_e2-infinity", "kappa_v_values-infinity", "half_length-infinity",
+        "kappa_m-minus-infinity", "kappa_f-nan", "zeromode-kappa_f-1e200",
+        "spectrum-kappa_f-1e200", "sweep-kappa_f-1e200", "sweep-radicand-nan",
+        "arbitrate-kappa_v-0", "arbitrate-shifted-tanh"])
 def test_refused_config_writes_nothing(tmp_path, capsys, overrides, message):
     # each of these used to run anyway, end in a traceback, stop with a wrong
     # message, or stop only after the output directory had been made
@@ -332,6 +337,37 @@ def test_spectrum_without_a_table_fails_its_one_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[recheck] overall: FAIL" in out
     assert "disagrees" not in out
+
+
+@pytest.mark.parametrize("negated, twin", [
+    ({"type": "tanh", "amplitude": -0.8}, {"type": "tanh", "amplitude": 0.8}),
+    ({"type": "tanh", "amplitude": -0.8, "shift": -0.1},
+     {"type": "tanh", "amplitude": 0.8, "shift": 0.1}),
+    ({"type": "tanh_sech", "a": -1.0, "b": -0.5},
+     {"type": "tanh_sech", "a": 1.0, "b": 0.5}),
+], ids=["tanh", "shifted-tanh", "tanh_sech"])
+def test_negated_profile_gets_the_tables_of_its_twin(tmp_path, negated, twin):
+    # at kappa_v = 0, H(-W) = sigma_x H(W) sigma_x: -W has the E^2 levels of
+    # W. The negated tanh profiles stopped with "need A > 0" (exit 1), and
+    # the negated tanh_sech one got an empty Scarf II table (exit 2)
+    reports = []
+    for name, profile in (("negated", negated), ("twin", twin)):
+        doc = base_config(model={**base_config()["model"], "profile": profile},
+                          grid={"half_length": 20.0, "n_points": 2001})
+        del doc["wilson_r"]
+        out = tmp_path / name
+        assert main(["run", "--config", write_config(tmp_path, doc, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        reports.append(json.loads((out / "spectrum_report.json").read_text()))
+    negated_report, twin_report = reports
+    tables = [[(t["formula_id"], t["metadata"]["A"],
+                [(lvl["n"], lvl["sigma"], lvl["analytic_e2"]) for lvl in t["levels"]])
+               for t in report["results"]["analytic_tables"]] for report in reports]
+    assert tables[0] == tables[1] and tables[0][0][2]
+    checks = [[(c["name"], c["passed"]) for c in report["checks"]] for report in reports]
+    assert checks[0] == checks[1]
+    for mine, theirs in zip(negated_report["checks"], twin_report["checks"], strict=True):
+        assert mine["value"] == pytest.approx(theirs["value"], rel=0, abs=1e-12)
 
 
 def test_spectrum_rejects_field_coupling(tmp_path):
