@@ -12,10 +12,17 @@ For 1 <= n < A, Scarf II gives E^2 = n(2A - n) and the field variants
 n(2A - n)/(1 + ...); for Rosen-Morse II, c = (A - n)^2 > |B| gives
 E^2 = (A^2 - c)(1 - B^2/(A^2 c)) > (A^2 - c)^2/A^2 >= 1, orders of magnitude
 above rounding for every A a grid accepts (A <= n_points).
+
+Rosen-Morse II and the field variants divide by A^2 at n = 0, so they refuse
+(ConstraintError) an A whose square underflows below the smallest normal
+float: A^2 = 0 divided by zero, and a subnormal A^2 gave 1/A^2 = inf and a
+NaN E^2. Rosen-Morse II checks this before its other constraints, each field
+variant before it lists a level. Scarf II does not divide.
 """
 
 from dataclasses import dataclass, field
 import math
+import sys
 
 from .errors import ConstraintError
 from .susy import subcritical_radicand
@@ -69,10 +76,18 @@ def _levels(formula_id, a, candidate, metadata):
 def scarf2_levels(a, b=0.0):
     """E^2 = A^2 - (A-n)^2 for n < A; b shapes wavefunctions only.
 
-    a <= 0 binds nothing and yields an empty table.
+    a <= 0 binds nothing and yields an empty table. (a - n) * (a - n), not
+    (a - n) ** 2, which is not always the same float, makes n = 0 exactly 0.
     """
-    return _levels("scarf2", a, lambda n: (a * a - (a - n) ** 2, False),
+    return _levels("scarf2", a, lambda n: (a * a - (a - n) * (a - n), False),
                    {"A": a, "B": b})
+
+
+def _refuse_underflow(a):
+    """Raise ConstraintError when A^2 underflows (see the module docstring)."""
+    if a * a < sys.float_info.min:
+        raise ConstraintError(f"A = {a:g} is too small: A^2 = {a * a:g} underflows "
+                              f"below the smallest normal float {sys.float_info.min:g}")
 
 
 def _rm2_candidate(a, b, n):
@@ -85,10 +100,11 @@ def _rm2_candidate(a, b, n):
 def rosen_morse2_levels(a, b):
     """Tilted-tanh family: E^2 = A^2 + B^2/A^2 - (A-n)^2 - B^2/(A-n)^2.
 
-    Requires a > 0 and b < a^2. Candidates with (A-n)^2 <= |B| are recorded
-    as excluded, not listed; every listed level has E^2 >= 0 (see the module
-    docstring).
+    Requires that a^2 not underflow, a > 0 and b < a^2. Candidates with
+    (A-n)^2 <= |B| are recorded as excluded, not listed; every listed level
+    has E^2 >= 0 (see the module docstring).
     """
+    _refuse_underflow(a)
     if a <= 0:
         raise ConstraintError(f"need A > 0, got {a}")
     if b >= a * a:
@@ -108,6 +124,7 @@ def _field_variant(formula_id, alpha0, kappa, denom_coupling, kv):
     B = alpha0*kv*E evaluated from the variant's own energy.
     """
     a = alpha0 * kappa
+    _refuse_underflow(a)
 
     def candidate(n):
         an = a - n
@@ -130,7 +147,8 @@ def rm2_with_field_levels(alpha0, kf, km, kv):
     `rosen_morse2_levels` (0, 9, 16, ...). Neither is declared right here; a
     numerical spectrum arbitrates. The field-reduced magnitude is the root of
     `susy.subcritical_radicand`, so couplings at or beyond the critical field
-    raise SupercriticalError exactly where `susy.reduce` does.
+    raise SupercriticalError exactly where `susy.reduce` does. Each variant
+    then refuses its amplitude A if A^2 underflows.
     """
     if alpha0 <= 0:
         raise ConstraintError(f"need alpha0 > 0, got {alpha0}")

@@ -1,7 +1,10 @@
 """Reduction of the proportional model to partner Schrodinger problems.
 
-The coupling matrix is diagonalized in closed form; each sign sigma = +/-1
-selects one partner potential wtilde^2 - sigma*wtilde'. The reduction is
+The coupling matrix M is diagonalized in closed form: M^2 = lambda^2 I, so
+every column of M + lambda I is an eigenvector for lambda, and the longer
+column, scaled to unit length, is the spinor (x, i*y) with x and y real and
+x > 0 (or y > 0 when x = 0). Each sign sigma = +/-1 of lambda selects one
+partner potential wtilde^2 - sigma*wtilde'. The reduction is
 well defined only below the critical coupling sqrt(kf^2 + km^2); at or above
 it the square root turns zero or imaginary and the shifted superpotential
 degenerates, so those inputs are refused. One radicand,
@@ -24,7 +27,7 @@ class SpinEigenpair:
 
     sigma: int
     lam: float            # sigma * sqrt(kf^2 + km^2 - kv^2)
-    chi: np.ndarray       # unit-norm complex 2-spinor
+    chi: np.ndarray       # unit-norm spinor (x, i*y), x and y real (see _eigvec)
 
 
 @dataclass(frozen=True)
@@ -107,39 +110,22 @@ def is_subcritical(kf, km, kv):
 
 
 def _eigvec(kf, km, kv, lam):
-    """Eigenvector for eigenvalue lam.
+    """Unit eigenvector (x, i*y), x and y real, of the coupling matrix M for
+    its eigenvalue lam.
 
-    The two row formulas are algebraically the same vector but lose
-    precision in different corners (cancellation in lam -+ kf, vanishing
-    denominators), so both are built when possible and the one with the
-    smaller explicit residual wins. A candidate whose norm overflows (its
-    denominator is negligible next to lam -+ kf) would normalize to the zero
-    vector with a zero residual, so it is dropped. When no candidate is left
-    the off-diagonal elements are negligible (km = kv = 0 makes the matrix
-    diagonal) and the basis spinors are the eigenvectors.
+    M^2 = (kf^2 + km^2 - kv^2) I = lam^2 I, so M (M + lam I) = lam (M + lam I)
+    and each column of M + lam I is an eigenvector for lam. Up to the phase
+    -i of the second, the columns are (kf + lam, i(km + kv)) and
+    (km - kv, i(lam - kf)). Their squared lengths sum to
+    2(kf^2 + km^2 + kv^2 + lam^2), so the longer one is at least
+    max(|kf|, |km|, |kv|, |lam|) long and carries a rounding error of a few
+    ulps of its length. It is scaled by +-1/length so that x > 0, or y > 0
+    when x = 0: the upper component is real and the lower one imaginary, and
+    adding 0.0 leaves no part -0.0.
     """
-    d1 = km - kv   # first-row denominator
-    d2 = km + kv   # second-row denominator
-    scale = max(abs(kf), abs(km), abs(kv), 1.0)
-    candidates = []
-    if abs(d1) > 1e-300:
-        candidates.append(np.array([1.0, 1j * (lam - kf) / d1], dtype=complex))
-    if abs(d2) > 1e-300:
-        candidates.append(np.array([-1j * (kf + lam) / d2, 1.0], dtype=complex))
-    with np.errstate(over="ignore"):
-        norms = [np.linalg.norm(chi) for chi in candidates]
-    candidates = [chi / n for chi, n in zip(candidates, norms) if math.isfinite(n)]
-    if not candidates:
-        if abs(lam - kf) <= 1e-14 * scale:
-            return np.array([1.0, 0.0], dtype=complex)
-        return np.array([0.0, 1.0], dtype=complex)
-    matrix = coupling_matrix(kf, km, kv)
-    best, best_res = None, math.inf
-    for chi in candidates:
-        res = float(np.linalg.norm(matrix @ chi - lam * chi))
-        if res < best_res:
-            best, best_res = chi, res
-    return best
+    x, y = max(((kf + lam, km + kv), (km - kv, lam - kf)), key=lambda c: math.hypot(*c))
+    s = math.copysign(math.hypot(x, y), x if x else y)
+    return np.array([complex(x / s + 0.0, 0.0), complex(0.0, y / s + 0.0)])
 
 
 def spin_eigensystem(kf, km, kv):

@@ -79,8 +79,11 @@ def zero_mode_quadrature(model, grid):
     phi_sigma = exp(-lambda_sigma * I(x)) with I the integral of W from 0;
     sigma is chosen so the exponent decays on both sides (judged from the
     signs of lambda*W at the box ends, where the profiles have saturated).
-    When neither sign works the result is returned with normalizable=False
-    and both candidates' decay rates in the metadata. A model at or beyond
+    The spinor direction chi is susy.spin_eigensystem's (x, i*y) with x and y
+    real and x > 0 (or y > 0 when x = 0), so the mode's upper component is
+    real and its lower one imaginary, as a step mode's are. When neither
+    sign works the result is returned with normalizable=False and both
+    candidates' decay rates in the metadata. A model at or beyond
     the critical field has no real lambda: susy.spin_eigensystem raises
     SupercriticalError. W is sampled once, and the metadata's dirac_residual
     is numerics.dirac_residual of f, m, v = kappa*W from that sample (the

@@ -1,9 +1,10 @@
 """Closed-form level tables and the transformed-potential parameter algebra."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracosc.analytic import (
@@ -26,10 +27,13 @@ def test_scarf2_reference_tower():
     assert minus == pytest.approx([7.0, 12.0, 15.0])
 
 
-def test_scarf2_ground_state_always_zero():
-    for a in (0.5, 1.7, 4.0, 9.25):
-        table = scarf2_levels(a)
-        assert table.e_squared_values(sigma=+1)[0] == 0.0
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 60.0, exclude_min=True))
+# a * a - (a - n) ** 2 gave 7.1e-15 here: x ** 2 is not always x * x
+@example(a=5.721902012661051)
+def test_scarf2_ground_state_always_zero(a):
+    table = scarf2_levels(a)
+    assert table.e_squared_values(sigma=+1)[0] == 0.0
 
 
 def test_scarf2_strict_range():
@@ -223,7 +227,8 @@ def reference_scarf2(a, b=0.0):
     if a > 0:
         nmax = math.ceil(a) - 1
         for sigma, n in reference_sigma_range(nmax):
-            e2 = a * a - (a - n) ** 2
+            an = a - n
+            e2 = a * a - an * an
             entries.append(LevelRecord(n, sigma, e2))
     return LevelTable(tuple(entries), "scarf2", meta)
 
@@ -233,7 +238,14 @@ def reference_rm2_candidate(a, b, n):
     return (a * a - an * an) + b * b * (1.0 / (a * a) - 1.0 / (an * an))
 
 
+def reference_underflow(a):
+    if a * a < sys.float_info.min:
+        raise ConstraintError(f"A = {a:g} is too small: A^2 = {a * a:g} underflows "
+                              f"below the smallest normal float {sys.float_info.min:g}")
+
+
 def reference_rosen_morse2(a, b):
+    reference_underflow(a)
     if a <= 0:
         raise ConstraintError(f"need A > 0, got {a}")
     if b >= a * a:
@@ -258,6 +270,7 @@ def reference_rosen_morse2(a, b):
 
 def reference_field_variant(formula_id, alpha0, kappa, denom_coupling, kv, nmax):
     a = alpha0 * kappa
+    reference_underflow(a)
     entries = []
     excluded = []
     for sigma, n in reference_sigma_range(nmax):
@@ -296,7 +309,8 @@ def reference_rm2_with_field(alpha0, kf, km, kv):
 def outcome(build, *args):
     """repr of what build(*args) returns or raises: repr keeps every float
     bit, -0.0 included, and the metadata's key order. Both raise alike, a
-    ZeroDivisionError included where (A - n)^2 underflows at tiny A."""
+    ConstraintError included where A^2 underflows at tiny A (the loops
+    divided by zero there, or listed a NaN E^2)."""
     try:
         return repr(build(*args))
     except (ArithmeticError, ConstraintError, SupercriticalError) as err:
@@ -323,14 +337,26 @@ def tilts(draw):
 couplings = st.one_of(st.floats(-8.0, 8.0), st.integers(-8, 8).map(float))
 
 
+# amplitudes whose square underflows: A^2 = 0 divided by zero, and a
+# subnormal A^2 gave 1/A^2 = inf and a NaN E^2
+TINY_TILTS = [(1.19e-287, -1.0), (2.2e-311, -1.0), (1e-160, 0.0)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(ab=tilts(), field=st.tuples(st.floats(-0.5, 6.0), couplings, couplings, couplings))
+@example(ab=TINY_TILTS[0], field=(1e-200, 3.0, 4.0, 1.0))
+@example(ab=TINY_TILTS[1], field=(1e-160, 3.0, 4.0, 0.0))
+@example(ab=TINY_TILTS[2], field=(1e-150, 1.0, 1.0, 1.0))
 def test_tables_match_the_three_loop_reference_bit_for_bit(ab, field):
-    # same entries (n, sigma, E^2 bits), same metadata, same refusals
-    assert outcome(scarf2_levels, *ab) == outcome(reference_scarf2, *ab)
-    assert outcome(rosen_morse2_levels, *ab) == outcome(reference_rosen_morse2, *ab)
-    assert outcome(rm2_with_field_levels, *field) == outcome(reference_rm2_with_field,
-                                                             *field)
+    # same entries (n, sigma, E^2 bits), same metadata, same refusals; and no
+    # table divides by zero or lists a NaN E^2
+    for got, want in ((outcome(scarf2_levels, *ab), outcome(reference_scarf2, *ab)),
+                      (outcome(rosen_morse2_levels, *ab),
+                       outcome(reference_rosen_morse2, *ab)),
+                      (outcome(rm2_with_field_levels, *field),
+                       outcome(reference_rm2_with_field, *field))):
+        assert got == want
+        assert "ZeroDivisionError" not in got and "nan" not in got
 
 
 def assert_one_filter(table, unbound):
@@ -344,23 +370,34 @@ def assert_one_filter(table, unbound):
         assert unbound(rec["n"], rec["e_squared"])
 
 
-# kept away from 0 so that (A - n)^2 cannot underflow
 scaled = st.one_of(st.just(0.0), st.floats(1e-3, 8.0), st.floats(-8.0, -1e-3))
 
 
 @settings(max_examples=300, deadline=None)
-@given(ab=tilts(), field=st.tuples(st.floats(0.01, 6.0), scaled, scaled, scaled))
+@given(ab=tilts(), field=st.tuples(st.one_of(st.floats(0.01, 6.0), st.floats(1e-320, 1e-150)),
+                                   scaled, scaled, scaled))
+@example(ab=TINY_TILTS[0], field=(1.0, 3.0, 4.0, 1.0))
+@example(ab=TINY_TILTS[1], field=(1.0, 3.0, 4.0, 1.0))
+@example(ab=(2.0, 1.0), field=(1e-200, 3.0, 4.0, 1.0))
 def test_tables_exclude_only_non_normalizable_levels(ab, field):
     a, b = ab
     assert_one_filter(scarf2_levels(a, b), lambda n, e2: False)
-    if a > 0 and b < a * a:
+    if a * a < sys.float_info.min:
+        with pytest.raises(ConstraintError, match="underflows"):
+            rosen_morse2_levels(a, b)
+    elif a > 0 and b < a * a:
         assert_one_filter(rosen_morse2_levels(a, b), lambda n, e2: (a - n) ** 2 <= abs(b))
     alpha0, kf, km, kv = field
     try:
-        tables = rm2_with_field_levels(alpha0, kf, km, kv)
+        amps = (alpha0 * math.hypot(kf, km),
+                alpha0 * math.sqrt(subcritical_radicand(kf, km, kv)))
     except SupercriticalError:
         return
-    for table in tables:
+    if min(amp * amp for amp in amps) < sys.float_info.min:
+        with pytest.raises(ConstraintError, match="underflows"):
+            rm2_with_field_levels(alpha0, kf, km, kv)
+        return
+    for table in rm2_with_field_levels(alpha0, kf, km, kv):
         amp = table.metadata["A"]
         assert_one_filter(table, lambda n, e2: (amp - n) * (amp - n)
                           <= alpha0 * abs(kv) * math.sqrt(e2))

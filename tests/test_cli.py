@@ -174,6 +174,10 @@ TABLE_REFUSAL = ("the closed-form tables of this model (A = {}) list up to 2*cei
 OVERFLOW_REFUSAL = ("kappa_f^2 + kappa_m^2 - kappa_v^2 is not finite at kappa_f = 1e+200, "
                     "kappa_m = 0, kappa_v = {}; the couplings are too large")
 ARBITRATE_REFUSAL = "arbitrate needs a pure tanh profile (shift 0) and kappa_v != 0"
+TINY_MODEL = {"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
+              "profile": {"type": "tanh", "amplitude": 1e-200}}
+UNDERFLOW_REFUSAL = ("A = 5e-200 is too small: A^2 = 0 underflows below the smallest "
+                     "normal float 2.22507e-308")
 
 
 def test_parse_config_builds_typed_values():
@@ -285,6 +289,10 @@ def test_parse_config_builds_typed_values():
       "model": {**base_config()["model"], "kappa_v": 1.0,
                 "profile": {"type": "tanh", "amplitude": 0.8, "shift": 0.3}}},
      ARBITRATE_REFUSAL),
+    # A^2 underflows to 0: arbitrate ended in a ZeroDivisionError traceback,
+    # and spectrum stopped with "need B < A^2, got B=0.0, A^2=0.0"
+    ({"model": TINY_MODEL}, UNDERFLOW_REFUSAL),
+    ({"workflow": "arbitrate", "model": {**TINY_MODEL, "kappa_v": 1.0}}, UNDERFLOW_REFUSAL),
 ], ids=["tolerance-typo", "kapa_v", "enrgy", "kappa_v_value", "kappa_f-true",
         "half_length-true", "schema-true", "lambda-true", "match_e2-true", "wilson_r-true",
         "f_plus-string", "amplitude-string", "output_dir-number", "exponent-float",
@@ -294,7 +302,8 @@ def test_parse_config_builds_typed_values():
         "match_e2-infinity", "kappa_v_values-infinity", "half_length-infinity",
         "kappa_m-minus-infinity", "kappa_f-nan", "zeromode-kappa_f-1e200",
         "spectrum-kappa_f-1e200", "sweep-kappa_f-1e200", "sweep-radicand-nan",
-        "arbitrate-kappa_v-0", "arbitrate-shifted-tanh"])
+        "arbitrate-kappa_v-0", "arbitrate-shifted-tanh", "spectrum-amplitude-1e-200",
+        "arbitrate-amplitude-1e-200"])
 def test_refused_config_writes_nothing(tmp_path, capsys, overrides, message):
     # each of these used to run anyway, end in a traceback, stop with a wrong
     # message, or stop only after the output directory had been made
@@ -482,6 +491,24 @@ def test_zeromode_step_workflow_csv(tmp_path):
     # density column is redundant with the components: verify consistency
     dens = body[:, 1] ** 2 + body[:, 2] ** 2 + body[:, 3] ** 2 + body[:, 4] ** 2
     assert np.allclose(dens, body[:, 5], atol=1e-15)
+
+
+def test_quadrature_csv_has_a_real_upper_and_an_imaginary_lower_component(tmp_path):
+    # the coupling matrix's eigenvector is (x, i*y) at every kappa_f: rounding
+    # noise made the upper component imaginary at 15 of these 41 values
+    for k in range(41):
+        doc = base_config(
+            workflow="zeromode",
+            model={"type": "coupled", "kappa_f": 0.5 + 0.005 * k, "kappa_m": 0.8,
+                   "kappa_v": 0.0, "profile": {"type": "tanh", "amplitude": 1.0}},
+            grid={"half_length": 10.0, "n_points": 201},
+        )
+        out = tmp_path / str(k)
+        run(parse_config(doc), out_dir=str(out))
+        with open(out / "wavefunction.csv") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(rows) == 201
+        assert all(row[2] == row[3] == "0" for row in rows), doc["model"]
 
 
 def reference_wavefunction_csv(path, psi):

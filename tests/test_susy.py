@@ -1,11 +1,12 @@
 """Coupling-matrix diagonalization and the partner-problem reduction."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diracosc.errors import CouplingOverflowError, SupercriticalError
@@ -60,7 +61,8 @@ def test_eigenvector_residual_and_norm():
 
 
 def test_degenerate_denominator_falls_back_to_second_row():
-    # km == kv makes the first-row formula 0/0
+    # km == kv made the first-row formula 0/0; the columns of M + lam I have
+    # no denominator
     kf, km, kv = 2.0, 1.0, 1.0
     M = coupling_matrix(kf, km, kv)
     for pair in spin_eigensystem(kf, km, kv):
@@ -127,8 +129,8 @@ def test_equal_magnitude_couplings_give_the_exact_root(kv):
     (1.0, 1e-200, 1e-200),   # one row formula vanishes, the other overflows
 ])
 def test_tiny_off_diagonal_gives_unit_spinor(kf, km, kv):
-    # a row formula with a negligible denominator overflows its norm; it must
-    # not be normalized into the zero vector
+    # a row formula with a negligible denominator overflowed its norm and
+    # could be normalized into the zero vector
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pairs = spin_eigensystem(kf, km, kv)
@@ -137,6 +139,62 @@ def test_tiny_off_diagonal_gives_unit_spinor(kf, km, kv):
     for p in pairs:
         assert np.linalg.norm(p.chi) == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(M @ p.chi - p.lam * p.chi) <= tol
+
+
+# couplings from 1e-150 to 1e150, whole numbers and signed zeros among them
+coupling = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(-1.0, 1.0), st.integers(-150, 150)),
+)
+
+
+@st.composite
+def subcritical_couplings(draw):
+    """(kf, km, kv) below the critical field: generic, |km| = |kv|, kf = 0,
+    or kv a few ulps below hypot(kf, km)."""
+    kf, km, kv = draw(coupling), draw(coupling), draw(coupling)
+    shape = draw(st.sampled_from(["generic", "equal", "kf0", "critical"]))
+    if shape == "equal":
+        kv = draw(st.sampled_from([1.0, -1.0])) * km
+    elif shape == "kf0":
+        kf = draw(st.sampled_from([0.0, -0.0]))
+    elif shape == "critical":
+        kv = critical_field(kf, km)
+        for _ in range(draw(st.integers(1, 4))):
+            kv = math.nextafter(kv, 0.0)
+        kv *= draw(st.sampled_from([1.0, -1.0]))
+    assume(is_subcritical(kf, km, kv))
+    return kf, km, kv
+
+
+def is_negative_zero(part):
+    return part == 0 and math.copysign(1.0, part) < 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=subcritical_couplings())
+# the first two gave an imaginary upper component (the residual contest picked
+# the second row formula by rounding noise); km + kv = -0.0 in the third
+@example(k=(0.535, 0.8, 0.0))
+@example(k=(0.6, 0.8, 0.5))
+@example(k=(1.0, -0.0, -0.0))
+@example(k=(1.0, 1e-200, 1e-200))
+def test_spinor_is_the_closed_form_column(k):
+    # unit norm, a residual of a few ulps of the largest entry, and the form
+    # (x, i*y) with x > 0, or x = 0 and y > 0, without a -0.0 part
+    kf, km, kv = k
+    M = coupling_matrix(kf, km, kv)
+    for p in spin_eigensystem(kf, km, kv):
+        assert abs(np.linalg.norm(p.chi) - 1.0) <= 1e-15
+        scale = max(abs(kf), abs(km), abs(kv), abs(p.lam))
+        assert np.linalg.norm(M @ p.chi - p.lam * p.chi) <= 8 * sys.float_info.epsilon * scale
+        upper, lower = p.chi
+        parts = (upper.real, upper.imag, lower.real, lower.imag)
+        assert upper.imag == 0 and lower.real == 0
+        assert upper.real > 0 or (upper.real == 0 and lower.imag > 0)
+        assert not any(is_negative_zero(part) for part in parts)
 
 
 def test_critical_field_values():
