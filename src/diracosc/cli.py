@@ -207,16 +207,23 @@ def parse_config(doc):
              "kappa_v_values must be finite and >= 0")
     steps = sweep.get("steps", 7)
     _require(steps >= 2, "sweep.steps must be >= 2")
+    try:
+        grid = Grid(float(L), N)
+    except ValueError as err:   # a spacing that underflows or overflows
+        raise ConfigError(f"bad grid: {err}") from err
     model = _model_from_dict(doc["model"])
     _require(workflow == "zeromode" or isinstance(model, CoupledModel),
              f"the {workflow} workflow needs a coupled model")
     if workflow == "sweep" and not fields:
+        # the first default step is kappa_v = 0: couplings whose squares
+        # overflow are refused there, before 1.2 * critical overflows too
+        susy.subcritical_radicand(model.kappa_f, model.kappa_m, 0.0)
         critical = susy.critical_field(model.kappa_f, model.kappa_m)
         fields = tuple(1.2 * critical * i / (steps - 1) for i in range(steps))
     return RunConfig(
         workflow=workflow,
         model=model,
-        grid=Grid(float(L), N),
+        grid=grid,
         wilson_r=None if wilson_r is None else float(wilson_r),
         tolerances={**DEFAULT_TOLERANCES, **{k: float(v) for k, v in given.items()}},
         output_dir=doc.get("output_dir", "."),

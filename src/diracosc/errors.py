@@ -38,6 +38,13 @@ class LatticeThresholdError(DiracOscError, ValueError):
     """A grid too coarse for the staggered operator: h * max|m| >= 2."""
 
 
+class GridOverflowError(DiracOscError):
+    """An operator or residual on a grid whose values cannot be squared:
+    they scale like 1/h and like the profile, so a grid spacing too fine or
+    a profile too large overflows them; LAPACK's failure to converge on a
+    band is reported with it too."""
+
+
 class ProfileSingularityError(DiracOscError):
     """Derivative requested at a point where the profile is not differentiable."""
 

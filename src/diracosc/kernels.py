@@ -60,11 +60,18 @@ def assemble_wilson(f, m, v, h, r):
 
 
 def assemble_schrodinger(pot, h):
-    """Lower band (2, n) of -d2/dx2 + pot with truncated end stencils."""
-    n = pot.shape[0]
-    band = np.zeros((2, n))
-    band[0] = 2.0 / h**2 + pot
-    band[1, :-1] = -1.0 / h**2
+    """Lower band (2, n) of -d2/dx2 + pot with truncated end stencils.
+
+    h is squared as a numpy float, which rounds as Python's h**2 does but
+    overflows to inf rather than raising: an h whose square underflows to 0
+    gives infinite entries, which numerics.eigensolve refuses, and one whose
+    square overflows gives a zero stencil.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        inv_h2 = 1.0 / np.float64(h) ** 2
+    band = np.zeros((2, pot.shape[0]))
+    band[0] = 2.0 * inv_h2 + pot
+    band[1, :-1] = -inv_h2
     return band
 
 

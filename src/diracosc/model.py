@@ -175,7 +175,12 @@ class CustomProfile(Profile):
 
 @dataclass(frozen=True)
 class CoupledModel:
-    """Proportional model: f = kappa_f*W, m = kappa_m*W, v = kappa_v*W."""
+    """Proportional model: f = kappa_f*W, m = kappa_m*W, v = kappa_v*W.
+
+    kappa_f and kappa_m may not both be zero: the critical field
+    hypot(kappa_f, kappa_m) would be 0, so every kappa_v is at or beyond it
+    and no workflow has anything to solve.
+    """
 
     kappa_f: float
     kappa_m: float
@@ -186,8 +191,9 @@ class CoupledModel:
         for name in ("kappa_f", "kappa_m", "kappa_v"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.kappa_f == 0 and self.kappa_m == 0 and self.kappa_v == 0:
-            raise ValueError("at least one coupling must be nonzero")
+        if self.kappa_f == 0 and self.kappa_m == 0:
+            raise ValueError("kappa_f and kappa_m are both zero, so the critical "
+                             "field is 0")
 
     def f(self, x):
         return self.kappa_f * self.profile.value(x)
@@ -222,8 +228,9 @@ class Grid:
     """Uniform symmetric grid on [-L, L] with N nodes.
 
     h*(N-1) = 2L holds to machine precision and x = 0 is a node whenever N is
-    odd. The hard wall of the discretized operators sits one spacing outside
-    the end nodes.
+    odd; a spacing that underflows to 0 or overflows is refused. The hard
+    wall of the discretized operators sits one spacing outside the end
+    nodes.
     """
 
     half_length: float
@@ -235,6 +242,12 @@ class Grid:
             raise ValueError("half_length must be positive")
         if self.n_points < 3:
             raise ValueError("need at least 3 grid points")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError(
+                f"half_length = {self.half_length:g} at n_points = {self.n_points} "
+                f"gives the grid spacing {self.spacing:g}, which must be positive "
+                "and finite"
+            )
         object.__setattr__(
             self, "nodes", np.linspace(-self.half_length, self.half_length, self.n_points)
         )
@@ -268,8 +281,7 @@ class ScalarField:
 class SpinorField:
     """Two-component complex wavefunction sampled on a grid.
 
-    norm_squared is the h-weighted sum over both components; `normalized`
-    reports whether it equals 1 to within 1e-10.
+    norm_squared is the h-weighted sum over both components.
     """
 
     grid: Grid
@@ -290,10 +302,6 @@ class SpinorField:
         return float(
             np.sum(np.abs(self.upper) ** 2 + np.abs(self.lower) ** 2) * self.grid.spacing
         )
-
-    @property
-    def normalized(self):
-        return abs(self.norm_squared - 1.0) <= 1e-10
 
     def density(self):
         return np.abs(self.upper) ** 2 + np.abs(self.lower) ** 2

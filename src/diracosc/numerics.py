@@ -65,6 +65,7 @@ from .errors import (
     BoxStateError,
     LatticeThresholdError,
     NonFiniteProfileError,
+    GridOverflowError,
     VanishingSpinorError,
 )
 from .model import Grid, ScalarField
@@ -139,17 +140,21 @@ class EigenResult:
         return self.values[idx], idx
 
 
+def _finite(vals):
+    """vals, or NonFiniteProfileError when one of them is NaN or infinity."""
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteProfileError("profile produced non-finite values on the grid")
+    return vals
+
+
 def _sample(profile, x):
-    """Profile values at x; NonFiniteProfileError on NaN or infinity.
+    """Profile values at x, refused by _finite on NaN or infinity.
 
     The values are checked here, so numpy's overflow warnings while
     evaluating them are not shown.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(profile.value(x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteProfileError("profile produced non-finite values on the grid")
-    return vals
+        return _finite(np.asarray(profile.value(x), dtype=float))
 
 
 def build_dirac(profiles, grid, wilson_r=1.0):
@@ -180,12 +185,15 @@ def build_staggered(profiles, grid):
     v = _sample(profiles.v, x[0::2])
     m_max = float(np.abs(m).max())
     if h * m_max >= 2.0:
-        # h * m_max < 2 once n_points - 1 > half_length * m_max
-        needed = math.floor(grid.half_length * m_max) + 2
+        # h * m_max < 2 once n_points - 1 > half_length * m_max, which can
+        # overflow where no n_points does
+        bound = grid.half_length * m_max
+        needed = math.floor(bound) + 2 if math.isfinite(bound) else None
         raise LatticeThresholdError(
             f"h*max|m| = {h * m_max:g} is not below 2, so lattice states of the "
-            f"staggered operator fall inside the continuum edge; n_points >= "
-            f"{needed + 1 - needed % 2} keeps it below 2"
+            f"staggered operator fall inside the continuum edge; " + (
+                f"n_points >= {needed + 1 - needed % 2} keeps it below 2" if needed
+                else "no n_points keeps it below 2")
         )
     band = kernels.assemble_dirac(f, m[1::2], v, h)
     return DiracMatrix(grid=grid, storage=band)
@@ -265,7 +273,7 @@ def _pairs(band, select, select_range, norm):
                 overwrite_a=True
             )
     except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
-        raise RuntimeError(f"eigensolver did not converge: {err}") from err
+        raise GridOverflowError(f"eigensolver did not converge: {err}") from err
     bisected = vals
     tv = kernels.band_matvec(band, vecs)
     if norm is not None and select != "a":
@@ -346,7 +354,11 @@ def eigensolve(matrix, k=None, window=None, index=None):
     tridiagonal solve bisects only to BISECT_TOL*||T|| and then takes each
     value as the Rayleigh quotient of its vector, with one Rayleigh-Ritz
     step per group of values closer than GROUP_TOLS bisection tolerances
-    (see _rayleigh_refine). An index solve bisects and iterates for that
+    (see _rayleigh_refine). A tridiagonal band whose norm bound squared is
+    not finite (entries past about 1e154: a grid spacing or a profile
+    scale that LAPACK's bisection cannot square) is refused with
+    GridOverflowError, which a LAPACK failure raises too. An index solve
+    bisects and iterates for that
     pair alone, so a neighbour closer than the bisection tolerance has no
     Rayleigh-Ritz step to be separated in. The lone pair is kept only when
     its residual is at most LONE_RESIDUAL_TOL*||T|| and one Sturm count ties
@@ -390,8 +402,15 @@ def eigensolve(matrix, k=None, window=None, index=None):
         select, select_range = "v", window
     norm = None
     if not band[2:].any():
-        # max|d| + 2*max|e| bounds ||T||
-        norm = np.abs(band[0]).max() + 2.0 * np.abs(band[1, :-1]).max(initial=0.0)
+        # max|d| + 2*max|e| bounds ||T||; Python floats overflow to inf silently
+        norm = (float(np.abs(band[0]).max())
+                + 2.0 * float(np.abs(band[1, :-1]).max(initial=0.0)))
+        if not math.isfinite(norm * norm):
+            raise GridOverflowError(
+                f"the operator's entries reach {norm:g} at grid spacing h = "
+                f"{matrix.grid.spacing:g}; their squares overflow, so LAPACK "
+                "cannot solve it"
+            )
     pairs = None
     if (window is not None and norm is not None and window[0] == -window[1]
             and _is_reflection_odd(band, norm)):
@@ -534,33 +553,43 @@ def dirac_residual(f, m, v, psi, energy):
     equation holds one-sidedly at a jump and a central difference across it
     measures nothing. Raises VanishingSpinorError (a ValueError) when psi
     has no probability mass on the nodes left, as on a grid too coarse to
-    keep any.
+    keep any, and GridOverflowError when the residual is not finite: the
+    stencil scales like 1/h, so a spacing too fine, or profiles too large,
+    overflow its squares.
     """
     grid = psi.grid
-    r1, r2 = _dirac_minus_e(f, m, v, grid.spacing, psi.upper, psi.lower,
-                            float(energy))
     n = grid.n_points
     mask = np.ones(n, dtype=bool)
     k = int(EXCLUDE_FRAC * n)
     if k > 0:
         mask[:k] = mask[-k:] = False
-    for prof in (f, m, v):
-        rng = prof.max() - prof.min()
-        if rng == 0:
-            continue
-        jumps = np.where(np.abs(np.diff(prof)) > 0.25 * rng)[0]
-        for j in jumps:
-            mask[max(j - 1, 0):min(j + 2, n)] = False
-    num = np.sqrt(np.sum((np.abs(r1) ** 2 + np.abs(r2) ** 2)[mask]) * grid.spacing)
-    den = np.sqrt(
-        np.sum((np.abs(psi.upper) ** 2 + np.abs(psi.lower) ** 2)[mask]) * grid.spacing
-    )
-    if den == 0:
-        raise VanishingSpinorError(
-            "psi vanishes on the interior nodes the residual measures; "
-            "the grid may be too coarse"
+    # overflows are caught by the finiteness test below, not shown as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2 = _dirac_minus_e(f, m, v, grid.spacing, psi.upper, psi.lower,
+                                float(energy))
+        for prof in (f, m, v):
+            rng = prof.max() - prof.min()
+            if rng == 0:
+                continue
+            jumps = np.where(np.abs(np.diff(prof)) > 0.25 * rng)[0]
+            for j in jumps:
+                mask[max(j - 1, 0):min(j + 2, n)] = False
+        num = np.sqrt(np.sum((np.abs(r1) ** 2 + np.abs(r2) ** 2)[mask]) * grid.spacing)
+        den = np.sqrt(
+            np.sum((np.abs(psi.upper) ** 2 + np.abs(psi.lower) ** 2)[mask]) * grid.spacing
         )
-    return num / den
+        if den == 0:
+            raise VanishingSpinorError(
+                "psi vanishes on the interior nodes the residual measures; "
+                "the grid may be too coarse"
+            )
+        residual = num / den
+    if not math.isfinite(residual):
+        raise GridOverflowError(
+            f"the Dirac residual is not finite at grid spacing h = {grid.spacing:g}; "
+            "the grid is too fine or the profiles too large"
+        )
+    return residual
 
 
 def selfconsistent_level(model, sigma, level, grid, seed_energy):

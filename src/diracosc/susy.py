@@ -119,13 +119,18 @@ def _eigvec(kf, km, kv, lam):
     (km - kv, i(lam - kf)). Their squared lengths sum to
     2(kf^2 + km^2 + kv^2 + lam^2), so the longer one is at least
     max(|kf|, |km|, |kv|, |lam|) long and carries a rounding error of a few
-    ulps of its length. It is scaled by +-1/length so that x > 0, or y > 0
-    when x = 0: the upper component is real and the lower one imaginary, and
-    adding 0.0 leaves no part -0.0.
+    ulps of its length. It is scaled to unit length and then negated when
+    x < 0, or x = 0 and y < 0, so that x > 0, or y > 0 when x = 0: the upper
+    component is real and the lower one imaginary, and adding 0.0 leaves no
+    part -0.0. The sign is taken after scaling, since a subnormal x can
+    round to 0 in x / length; negation is exact.
     """
     x, y = max(((kf + lam, km + kv), (km - kv, lam - kf)), key=lambda c: math.hypot(*c))
-    s = math.copysign(math.hypot(x, y), x if x else y)
-    return np.array([complex(x / s + 0.0, 0.0), complex(0.0, y / s + 0.0)])
+    s = math.hypot(x, y)
+    x, y = x / s, y / s
+    if x < 0 or (x == 0 and y < 0):
+        x, y = -x, -y
+    return np.array([complex(x + 0.0, 0.0), complex(0.0, y + 0.0)])
 
 
 def spin_eigensystem(kf, km, kv):

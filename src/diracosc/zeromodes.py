@@ -71,6 +71,12 @@ class StepMatchProblem:
         for name in ("m_plus", "m_minus"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be a positive magnitude")
+        # match_interface takes f^2 + m^2 - E^2 on each side
+        for side in ("plus", "minus"):
+            f, m = getattr(self, "f_" + side), getattr(self, "m_" + side)
+            if not math.isfinite(f * f + m * m):
+                raise ValueError(f"f_{side}^2 + m_{side}^2 is not finite; the "
+                                 "magnitudes are too large")
 
 
 def zero_mode_quadrature(model, grid):
@@ -87,12 +93,19 @@ def zero_mode_quadrature(model, grid):
     the critical field has no real lambda: susy.spin_eigensystem raises
     SupercriticalError. W is sampled once, and the metadata's dirac_residual
     is numerics.dirac_residual of f, m, v = kappa*W from that sample (the
-    floats model.general() gives).
+    floats model.general() gives). W, each kappa*W and the exponent
+    lambda*I are held to the finiteness rule of numerics._sample:
+    NonFiniteProfileError when one overflows, before anything is
+    integrated or exponentiated.
     """
     pairs = susy.spin_eigensystem(model.kappa_f, model.kappa_m, model.kappa_v)
     x = grid.nodes
     w = numerics._sample(model.profile, x)
-    integral = kernels.cumulative_simpson_center(w, grid.spacing, grid.center_index)
+    # overflows are refused by numerics._finite, not shown as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, m, v = (numerics._finite(kappa * w)
+                   for kappa in (model.kappa_f, model.kappa_m, model.kappa_v))
+        integral = kernels.cumulative_simpson_center(w, grid.spacing, grid.center_index)
     w_left, w_right = w[0], w[-1]
 
     tried = {}
@@ -101,11 +114,13 @@ def zero_mode_quadrature(model, grid):
         rates = (-lam * w_left, lam * w_right)   # exponents toward -inf, +inf
         tried[pair.sigma] = rates
         if rates[0] > 0 and rates[1] > 0:
-            expo = -lam * integral
-            expo -= expo.max()                   # overflow guard; rescaled below
+            with np.errstate(over="ignore", invalid="ignore"):
+                expo = numerics._finite(-lam * integral)
+                # overflow guard, rescaled below; a value that overflows to
+                # -inf here has exp 0
+                expo -= expo.max()
             phi = np.exp(expo)
             psi = SpinorField(grid, pair.chi[0] * phi, pair.chi[1] * phi).normalize()
-            f, m, v = (kappa * w for kappa in (model.kappa_f, model.kappa_m, model.kappa_v))
             meta = {
                 "sigma": pair.sigma,
                 "lambda": lam,
@@ -219,11 +234,13 @@ def transformed_potential_profiles(params):
 
     def potential(x):
         x = np.asarray(x, dtype=float)
-        return (
-            lam * lam + nu * nu
-            - lam * (lam - 1.0) / np.cosh(x) ** 2
-            + 2.0 * lam * nu * np.tanh(x)
-        )
+        # cosh overflows far out, where sech^2 is 0
+        with np.errstate(over="ignore"):
+            return (
+                lam * lam + nu * nu
+                - lam * (lam - 1.0) / np.cosh(x) ** 2
+                + 2.0 * lam * nu * np.tanh(x)
+            )
 
     return osc, mass, potential
 
@@ -232,8 +249,9 @@ def zero_mode_transformed(params, grid):
     """Transformed-potential construction targeting level index params.n.
 
     Builds the decoupled second-order problem, eigensolves its lowest n + 3
-    levels and raises ConstructionFailedError with that spectrum attached:
-    for valid parameters level n is never an E = 0 bound state. Why (see the
+    levels (all of them on a grid of fewer points) and raises
+    ConstructionFailedError with that spectrum attached: for valid
+    parameters level n is never an E = 0 bound state. Why (see the
     module docstring):
 
     * the closed-form level n of V1 is 0 but non-normalizable, since
@@ -248,7 +266,8 @@ def zero_mode_transformed(params, grid):
         raise ValueError(f"invalid parameters: {params.reason}")
     _, _, potential = transformed_potential_profiles(params)
     pot = ScalarField(grid, potential(grid.nodes))
-    result = numerics.eigensolve(numerics.build_schrodinger(pot), k=params.n + 3)
+    result = numerics.eigensolve(numerics.build_schrodinger(pot),
+                                 k=min(params.n + 3, grid.n_points))
     spectrum = result.values
     pick = int(np.argmin(np.abs(spectrum)))
     an2 = (params.a - params.n) ** 2

@@ -178,6 +178,13 @@ TINY_MODEL = {"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
               "profile": {"type": "tanh", "amplitude": 1e-200}}
 UNDERFLOW_REFUSAL = ("A = 5e-200 is too small: A^2 = 0 underflows below the smallest "
                      "normal float 2.22507e-308")
+NO_MASS_MODEL = {"type": "coupled", "kappa_f": 0.0, "kappa_m": 0.0, "kappa_v": 0.5,
+                 "profile": {"type": "tanh", "amplitude": 1.0}}
+NO_MASS_REFUSAL = ("bad coupled model: kappa_f and kappa_m are both zero, so the "
+                   "critical field is 0")
+BAND_REFUSAL = ("the operator's entries reach {} at grid spacing h = {}; their squares "
+                "overflow, so LAPACK cannot solve it")
+TRANSFORMED_MODEL = {"type": "transformed_potential", "lambda": 3, "n": 1}
 
 
 def test_parse_config_builds_typed_values():
@@ -293,6 +300,73 @@ def test_parse_config_builds_typed_values():
     # and spectrum stopped with "need B < A^2, got B=0.0, A^2=0.0"
     ({"model": TINY_MODEL}, UNDERFLOW_REFUSAL),
     ({"workflow": "arbitrate", "model": {**TINY_MODEL, "kappa_v": 1.0}}, UNDERFLOW_REFUSAL),
+    # kappa_f = kappa_m = 0 has critical field 0: the sweep built the all-zero
+    # model at kappa_v = 0 and ended in a ValueError traceback, and the other
+    # workflows stopped with the supercritical line
+    *[({"workflow": workflow, "model": NO_MASS_MODEL}, NO_MASS_REFUSAL)
+      for workflow in ("sweep", "spectrum", "zeromode", "arbitrate")],
+    # band entries whose squares overflow ended in a LAPACK RuntimeError
+    # traceback, and a grid spacing whose square underflows in a
+    # ZeroDivisionError one
+    ({"workflow": "sweep",
+      "model": {**NO_MASS_MODEL, "kappa_m": 2.83, "kappa_v": 0.0,
+                "profile": {"type": "tanh_sech", "a": -4.3e101, "b": 2.09}},
+      "grid": {"half_length": 4.5e-161, "n_points": 401}},
+     BAND_REFUSAL.format("8.88889e+162", "2.25e-163")),
+    ({"grid": {"half_length": 1e-160, "n_points": 201}},
+     BAND_REFUSAL.format("2e+162", "1e-162")),
+    ({"workflow": "zeromode", "model": TRANSFORMED_MODEL,
+      "grid": {"half_length": 1e-100, "n_points": 401}},
+     BAND_REFUSAL.format("1.6e+205", "5e-103")),
+    ({"workflow": "zeromode", "model": TRANSFORMED_MODEL,
+      "grid": {"half_length": 1e-160, "n_points": 401}},
+     BAND_REFUSAL.format("inf", "5e-163")),
+    # kappa_f * W overflows: numpy warnings, then a refusal of the NaN residual
+    # check that did not name the cause
+    ({"workflow": "zeromode",
+      "model": {"type": "coupled", "kappa_f": 6.5e64, "kappa_m": 5e-296, "kappa_v": -0.1,
+                "profile": {"type": "tanh", "amplitude": 6.9e266, "shift": -0.65}},
+      "grid": {"half_length": 20.0, "n_points": 401}},
+     "profile produced non-finite values on the grid"),
+    # further faults a config fuzzer found. Tracebacks: an OverflowError from
+    # f_plus**2, a ValueError from the sweep's NaN first field (1.2 * critical
+    # overflowed, times 0), a ZeroDivisionError from a grid spacing of 0, and
+    # an OverflowError from the lattice hint's math.floor(inf)
+    ({"workflow": "zeromode", "model": {**STEP_MODEL, "f_plus": 2.1e280},
+      "grid": {"half_length": 14.5, "n_points": 101}},
+     "bad step model: f_plus^2 + m_plus^2 is not finite; the magnitudes are too large"),
+    ({"workflow": "sweep", "model": {**HUGE_F_MODEL, "kappa_f": 1.7976931348623157e308},
+      "sweep": {"steps": 4}},
+     "kappa_f^2 + kappa_m^2 - kappa_v^2 is not finite at kappa_f = 1.79769e+308, "
+     "kappa_m = 0, kappa_v = 0; the couplings are too large"),
+    ({"grid": {"half_length": 5e-324, "n_points": 201}},
+     "bad grid: half_length = 4.94066e-324 at n_points = 201 gives the grid spacing 0, "
+     "which must be positive and finite"),
+    ({"model": {**base_config()["model"], "profile": {"type": "linear", "slope": 0.1}},
+      "grid": {"half_length": 2e301, "n_points": 201}},
+     "h*max|m| = inf is not below 2, so lattice states of the staggered operator fall "
+     "inside the continuum edge; no n_points keeps it below 2"),
+    # numpy warnings, then a message about a value that is not the cause
+    ({"workflow": "zeromode", "grid": {"half_length": 1.7976931348623157e308,
+                                       "n_points": 201}},
+     "bad grid: half_length = 1.79769e+308 at n_points = 201 gives the grid spacing "
+     "inf, which must be positive and finite"),
+    ({"workflow": "zeromode",
+      "model": {**base_config()["model"], "kappa_f": 6e-151, "kappa_m": 0.8,
+                "kappa_v": 0.3, "profile": {"type": "tanh", "amplitude": 1.7e308}},
+      "grid": {"half_length": 20.0, "n_points": 201}},
+     "profile produced non-finite values on the grid"),
+    ({"workflow": "zeromode",
+      "model": {**base_config()["model"], "kappa_f": 5.1e122, "kappa_m": 0.8,
+                "profile": {"type": "tanh_power", "exponent": 3, "shift": 0.5}},
+      "grid": {"half_length": 2.4e301, "n_points": 201}},
+     "profile produced non-finite values on the grid"),
+    ({"workflow": "zeromode",
+      "model": {**base_config()["model"], "kappa_f": 0.6, "kappa_m": 0.8, "kappa_v": 0.3,
+                "profile": {"type": "tanh_sech", "a": 1e300, "b": 5e299}},
+      "grid": {"half_length": 20.0, "n_points": 201}},
+     "the Dirac residual is not finite at grid spacing h = 0.2; the grid is too fine "
+     "or the profiles too large"),
 ], ids=["tolerance-typo", "kapa_v", "enrgy", "kappa_v_value", "kappa_f-true",
         "half_length-true", "schema-true", "lambda-true", "match_e2-true", "wilson_r-true",
         "f_plus-string", "amplitude-string", "output_dir-number", "exponent-float",
@@ -303,7 +377,13 @@ def test_parse_config_builds_typed_values():
         "kappa_m-minus-infinity", "kappa_f-nan", "zeromode-kappa_f-1e200",
         "spectrum-kappa_f-1e200", "sweep-kappa_f-1e200", "sweep-radicand-nan",
         "arbitrate-kappa_v-0", "arbitrate-shifted-tanh", "spectrum-amplitude-1e-200",
-        "arbitrate-amplitude-1e-200"])
+        "arbitrate-amplitude-1e-200", "sweep-no-mass", "spectrum-no-mass",
+        "zeromode-no-mass", "arbitrate-no-mass", "sweep-spacing-2.25e-163",
+        "spectrum-spacing-1e-162", "transformed-spacing-5e-103",
+        "transformed-spacing-5e-163", "zeromode-kappa-w-overflow", "step-f_plus-2e280",
+        "sweep-default-kappa_f-max", "spectrum-spacing-0", "lattice-hint-overflow",
+        "zeromode-spacing-inf", "zeromode-integral-overflow",
+        "zeromode-exponent-overflow", "zeromode-residual-overflow"])
 def test_refused_config_writes_nothing(tmp_path, capsys, overrides, message):
     # each of these used to run anyway, end in a traceback, stop with a wrong
     # message, or stop only after the output directory had been made
@@ -509,6 +589,26 @@ def test_quadrature_csv_has_a_real_upper_and_an_imaginary_lower_component(tmp_pa
             rows = list(csv.reader(handle))[1:]
         assert len(rows) == 201
         assert all(row[2] == row[3] == "0" for row in rows), doc["model"]
+
+
+def test_quadrature_spinor_of_a_subnormal_coupling_keeps_its_form(tmp_path):
+    # sigma = -1 took its sign from x = 5e-324 before x / length rounded to 0,
+    # which wrote chi = (0, -i) and a negative im_psi2 column
+    doc = base_config(
+        workflow="zeromode",
+        model={"type": "coupled", "kappa_f": 1.0, "kappa_m": 5e-324, "kappa_v": 0.0,
+               "profile": {"type": "tanh", "amplitude": -1.0}},
+        grid={"half_length": 20.0, "n_points": 401},
+    )
+    _, report_path = run(parse_config(doc), out_dir=str(tmp_path))
+    with open(report_path) as handle:
+        meta = json.load(handle)["results"]["metadata"]
+    assert meta["sigma"] == -1
+    assert meta["chi"] == [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 1.0}]
+    with open(tmp_path / "wavefunction.csv") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert all(row[1] == row[2] == row[3] == "0" for row in rows)
+    assert all(float(row[4]) > 0 for row in rows)
 
 
 def reference_wavefunction_csv(path, psi):

@@ -1,8 +1,7 @@
-"""Every import in the source and test trees is used, every package export
-is reached, and scipy loads only when a run eigensolves."""
+"""Every import in the source and test trees is used, the package root
+binds nothing but its version, and scipy loads only when a run eigensolves."""
 
 import ast
-import inspect
 import json
 from pathlib import Path
 import subprocess
@@ -32,9 +31,7 @@ def test_unused_import_scan_flags_only_unused_names():
 
 
 def test_no_unused_imports():
-    # a package __init__ imports to re-export, so it is not scanned
-    paths = [p for sub in ("src", "tests") for p in sorted((ROOT / sub).rglob("*.py"))
-             if p.name != "__init__.py"]
+    paths = [p for sub in ("src", "tests") for p in sorted((ROOT / sub).rglob("*.py"))]
     assert paths
     found = [f"{p.relative_to(ROOT)}:{line}: {name}"
              for p in paths for line, name in unused_imports(p.read_text())]
@@ -58,23 +55,30 @@ def test_loaded_name_scan_skips_definitions_and_imports():
     assert loaded_names(source) == {"print", "b", "f", "E"}
 
 
-def test_every_export_is_used():
-    # an export must be reached by the library itself, an acceptance test or
-    # a benchmark op; a unit test of itself does not count. A submodule is
-    # bound on the package by importing it, but `import *` must not bind it.
-    import diracosc
+# run in a fresh interpreter: import the package, then print the names it
+# binds beyond those every package module has, and the diracosc submodules and
+# numpy modules loaded so far
+ROOT_PROBE = """\
+import json, sys
+sys.path.insert(0, {src!r})
+import diracosc
+standard = {{"__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+            "__name__", "__package__", "__path__", "__spec__"}}
+print(json.dumps({{
+    "names": sorted(set(vars(diracosc)) - standard),
+    "modules": sorted(m for m in sys.modules
+                      if m.startswith("diracosc.") or m.split(".")[0] == "numpy"),
+}}))
+"""
 
-    paths = [p for p in sorted((ROOT / "src" / "diracosc").glob("*.py"))
-             if p.name != "__init__.py"]
-    paths += [ROOT / "tests" / "test_acceptance.py",
-              *sorted((ROOT / "perfbench").glob("*.py"))]
-    used = set().union(*(loaded_names(p.read_text()) for p in paths))
-    exports = [name for name in diracosc.__all__ if name != "__version__"]
-    assert exports
-    modules = [name for name in exports if inspect.ismodule(getattr(diracosc, name))]
-    assert not modules, "submodules in __all__: " + ", ".join(modules)
-    unused = [name for name in exports if name not in used]
-    assert not unused, "exports nothing uses: " + ", ".join(unused)
+
+def test_package_root_binds_only_the_version():
+    # every name is imported from the module that defines it, so the root is
+    # no second import path, and importing it loads nothing
+    code = ROOT_PROBE.format(src=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert json.loads(proc.stdout) == {"names": ["__version__"], "modules": []}
 
 
 def eager_imports(source, package):

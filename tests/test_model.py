@@ -1,5 +1,7 @@
 """Profiles, grids and field containers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,11 +137,18 @@ def test_grid_validation():
         Grid(1.0, 2)
     with pytest.raises(ValueError):
         Grid(1.0, 4).center_index  # even node count has no x=0 node
+    # a spacing that underflows to 0 or overflows to infinity
+    for half_length in (5e-324, 1.7976931348623157e308):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            Grid(half_length, 201)
 
 
 def test_coupled_model_validation():
     with pytest.raises(ValueError):
         CoupledModel(0.0, 0.0, 0.0, TanhProfile(1.0))
+    # the critical field hypot(kappa_f, kappa_m) is 0 whatever kappa_v is
+    with pytest.raises(ValueError, match="critical field is 0"):
+        CoupledModel(0.0, -0.0, 0.5, TanhProfile(1.0))
     with pytest.raises(ValueError):
         CoupledModel(np.inf, 1.0, 0.0, TanhProfile(1.0))
     m = CoupledModel(3.0, 4.0, 0.0, TanhProfile(0.8))
@@ -159,9 +168,9 @@ def test_spinor_field_norm_and_flag():
     up = np.exp(-(x**2)) + 0j
     lo = np.zeros_like(up)
     psi = SpinorField(g, up, lo)
-    assert not psi.normalized
+    # the h-weighted integral of exp(-2 x^2) is sqrt(pi / 2)
+    assert psi.norm_squared == pytest.approx(math.sqrt(math.pi / 2), abs=1e-12)
     n = psi.normalize()
-    assert n.normalized
     assert n.norm_squared == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         SpinorField(g, up[:-1], lo[:-1])

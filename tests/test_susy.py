@@ -176,11 +176,14 @@ def is_negative_zero(part):
 @settings(max_examples=300, deadline=None)
 @given(k=subcritical_couplings())
 # the first two gave an imaginary upper component (the residual contest picked
-# the second row formula by rounding noise); km + kv = -0.0 in the third
+# the second row formula by rounding noise); km + kv = -0.0 in the third; in
+# the last, sigma = -1 took its sign from x = 5e-324 before x / length rounded
+# to 0, which gave chi = (0, -i)
 @example(k=(0.535, 0.8, 0.0))
 @example(k=(0.6, 0.8, 0.5))
 @example(k=(1.0, -0.0, -0.0))
 @example(k=(1.0, 1e-200, 1e-200))
+@example(k=(1.0, 5e-324, 0.0))
 def test_spinor_is_the_closed_form_column(k):
     # unit norm, a residual of a few ulps of the largest entry, and the form
     # (x, i*y) with x > 0, or x = 0 and y > 0, without a -0.0 part

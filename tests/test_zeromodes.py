@@ -208,7 +208,7 @@ def test_step_match_grid_mode():
     g = Grid(5.0, 8001)
     mode = step_match(StepMatchProblem(3.0, 3.0, 4.0, 4.0), g)
     assert mode is not None
-    assert mode.psi.normalized
+    assert mode.psi.norm_squared == pytest.approx(1.0, abs=1e-10)
     assert mode.metadata["normalization_constant"] == pytest.approx(1.0)
     # the raw closed-form field misses unit grid norm only at (lambda*h)^2 order
     assert mode.metadata["grid_norm_of_closed_form"] == pytest.approx(
@@ -232,7 +232,7 @@ def test_step_match_wide_box_does_not_overflow():
     # exp(-lambda_plus * x) at x = -200 overflows; only the decaying branch
     # of each side may be evaluated (pytest turns the overflow into an error)
     mode = step_match(StepMatchProblem(3.0, 3.0, 4.0, 4.0), Grid(200.0, 801))
-    assert mode.psi.normalized
+    assert mode.psi.norm_squared == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.isfinite(mode.psi.upper)) and np.all(np.isfinite(mode.psi.lower))
 
 
