@@ -275,13 +275,16 @@ def closed_form_tables(model, grid):
 
 @dataclass(frozen=True)
 class BoundCensus:
-    """Bound levels of the first-order operator, matched against tables.
+    """The one per-step record of the spectrum, sweep and arbitrate workflows.
 
-    `subcritical` is susy.is_subcritical of the model's couplings; when it
-    is false the edge is 0 and `values` is empty. `clusters` are the
-    distinct E^2 values of `values` with their multiplicities; `matches`
-    holds one (table, per-level records, verdict) triple per table, in the
-    tables' order, as _match_tables returns them.
+    The bound levels of the first-order operator at one coupling, matched
+    against tables; each runner reads every level, count, cluster, table
+    record and verdict it reports from here. `subcritical` is
+    susy.is_subcritical of the model's couplings; when it is false the edge
+    is 0 and `values` is empty. `clusters` are the distinct E^2 values of
+    `values` with their multiplicities; `matches` holds one (table,
+    per-level records, verdict) triple per table, in the tables' order, as
+    _match_tables returns them.
     """
 
     subcritical: bool
@@ -290,19 +293,29 @@ class BoundCensus:
     clusters: list
     matches: list
 
+    def results(self, config, **keys):
+        """A spectrum or arbitrate report's results: the keys both write
+        (the continuum edge, the E^2 clusters and the config's warnings),
+        then `keys`."""
+        return {"continuum_edge": self.edge, "bound_e_squared_clusters": self.clusters,
+                "warnings": config_warnings(config.model, config.wilson_r), **keys}
+
 
 def bound_census(model, grid, tables, tol):
-    """Solve, cluster and match the bound spectrum of a coupled model.
+    """Solve, cluster and match the bound spectrum of a coupled model into
+    its BoundCensus record.
 
-    The one census step of the spectrum, sweep and arbitrate workflows.
-    susy.is_subcritical decides whether it solves: at or beyond the critical
-    field, one ulp below it included when the radicand is not positive, the
-    edge is taken as 0 and nothing is solved, and couplings whose squares
-    overflow raise CouplingOverflowError. Otherwise the operator is the
-    staggered chain (numerics.build_staggered); only pairs inside the
-    continuum edge can be bound, so that edge is the eigen-window, and a
-    zero edge (a profile that vanishes at a box end) solves nothing either.
-    E^2 values closer than tol share a cluster.
+    The one census step of the spectrum, sweep and arbitrate workflows, at
+    most one eigensolve per call; each runner reports from the records it
+    returns and solves nothing itself. susy.is_subcritical decides whether
+    it solves: at or beyond the critical field, one ulp below it included
+    when the radicand is not positive, the edge is taken as 0 and nothing is
+    solved, and couplings whose squares overflow raise
+    CouplingOverflowError. Otherwise the operator is the staggered chain
+    (numerics.build_staggered); only pairs inside the continuum edge can be
+    bound, so that edge is the eigen-window, and a zero edge (a profile that
+    vanishes at a box end) solves nothing either. E^2 values closer than tol
+    share a cluster.
     """
     subcritical = susy.is_subcritical(model.kappa_f, model.kappa_m, model.kappa_v)
     profiles = model.general()
@@ -418,29 +431,19 @@ def run_spectrum(config):
     census = bound_census(model, config.grid, closed_form_tables(model, config.grid), tol)
     # a model without a table has nothing its levels are matched against
     checks = [] if census.matches else [_check("closed_form_table_applies", 0.0, 0.5, "ge")]
-    table_reports = []
     for table, records, verdict in census.matches:
-        table_reports.append({
-            "formula_id": table.formula_id,
-            "metadata": table.metadata,
-            "levels": records,
-            "unmatched_numeric": verdict["unmatched_numeric"],
-        })
-        checks.append(_check(f"{table.formula_id}_all_levels_matched",
-                             float(verdict["unmatched_analytic"]), 0.5, "le"))
-        checks.append(_check(f"{table.formula_id}_no_unmatched_numeric",
-                             float(len(verdict["unmatched_numeric"])), 0.5, "le"))
-        # matched entries only: an unmatched entry is counted by the check above
+        # matched entries only: an unmatched entry is counted by the first check
         devs = [r["abs_deviation"] for r in records if r["matched"]]
-        checks.append(_check(f"{table.formula_id}_max_e2_deviation",
-                             max(devs) if devs else 0.0, tol, "le"))
-    results = {
-        "continuum_edge": census.edge,
-        "bound_energies": [float(v) for v in census.values],
-        "bound_e_squared_clusters": census.clusters,
-        "analytic_tables": table_reports,
-        "warnings": config_warnings(model, config.wilson_r),
-    }
+        for name, value, tolerance in (
+                ("all_levels_matched", verdict["unmatched_analytic"], 0.5),
+                ("no_unmatched_numeric", len(verdict["unmatched_numeric"]), 0.5),
+                ("max_e2_deviation", max(devs, default=0.0), tol)):
+            checks.append(_check(f"{table.formula_id}_{name}", float(value), tolerance, "le"))
+    tables = [{"formula_id": table.formula_id, "metadata": table.metadata,
+               "levels": records, "unmatched_numeric": verdict["unmatched_numeric"]}
+              for table, records, verdict in census.matches]
+    results = census.results(config, bound_energies=[float(v) for v in census.values],
+                             analytic_tables=tables)
     return results, checks, {}
 
 
@@ -494,16 +497,15 @@ def run_sweep(config):
     critical = susy.critical_field(model.kappa_f, model.kappa_m)
     rows = []
     for kv in config.sweep_fields:
-        census = bound_census(replace(model, kappa_v=kv), config.grid, [],
-                              config.tolerances["match_e2"])
-        values = census.values
-        order = np.argsort(np.abs(values), kind="stable")[:5]
+        step = bound_census(replace(model, kappa_v=kv), config.grid, [],
+                            config.tolerances["match_e2"])
         rows.append({
             "kappa_v": kv,
-            "subcritical": census.subcritical,
-            "continuum_edge": census.edge,
-            "bound_count": int(len(values)),
-            "lowest_energies": [float(values[i]) for i in order],
+            "subcritical": step.subcritical,
+            "continuum_edge": step.edge,
+            "bound_count": len(step.values),
+            # the five of least |E|, ties in the census order
+            "lowest_energies": [float(v) for v in sorted(step.values, key=abs)[:5]],
         })
     counts = [row["bound_count"] for row in rows]
     non_increasing = all(counts[i] >= counts[i + 1] for i in range(len(counts) - 1))
@@ -526,24 +528,15 @@ def run_arbitrate(config):
              "arbitrate needs a pure tanh profile (shift 0) and kappa_v != 0")
     tol = config.tolerances["arbitrate"]
     census = bound_census(model, config.grid, tables, tol)
-    verdicts = {table.formula_id: verdict for table, _records, verdict in census.matches}
-    per_table = {table.formula_id: records for table, records, _verdict in census.matches}
-    ids = list(verdicts)
     decisive = None
-    for wid, lid in (ids, ids[::-1]):
-        if (verdicts[wid]["agrees_within_tolerance"]
-                and not verdicts[lid]["agrees_within_tolerance"]
-                and (verdicts[lid]["max_deviation"] > 10 * tol
-                     or verdicts[lid]["unmatched_numeric"])):
-            decisive = wid
-    results = {
-        "continuum_edge": census.edge,
-        "bound_e_squared_clusters": census.clusters,
-        "levels": per_table,
-        "verdicts": verdicts,
-        "winner": decisive,
-        "warnings": config_warnings(model, config.wilson_r),
-    }
+    for (table, _, won), (_, _, lost) in (census.matches, census.matches[::-1]):
+        if (won["agrees_within_tolerance"] and not lost["agrees_within_tolerance"]
+                and (lost["max_deviation"] > 10 * tol or lost["unmatched_numeric"])):
+            decisive = table.formula_id
+    results = census.results(
+        config, winner=decisive,
+        levels={table.formula_id: records for table, records, _ in census.matches},
+        verdicts={table.formula_id: verdict for table, _, verdict in census.matches})
     checks = [_check("decisive_winner", 1.0 if decisive else 0.0, 0.5, "ge")]
     return results, checks, {}
 

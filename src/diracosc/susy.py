@@ -1,15 +1,17 @@
 """Reduction of the proportional model to partner Schrodinger problems.
 
-The coupling matrix M is diagonalized in closed form: M^2 = lambda^2 I, so
-every column of M + lambda I is an eigenvector for lambda, and the longer
-column, scaled to unit length, is the spinor (x, i*y) with x and y real and
-x > 0 (or y > 0 when x = 0). Each sign sigma = +/-1 of lambda selects one
-partner potential wtilde^2 - sigma*wtilde'. The reduction is
-well defined only below the critical coupling sqrt(kf^2 + km^2); at or above
-it the square root turns zero or imaginary and the shifted superpotential
-degenerates, so those inputs are refused. One radicand,
-kf^2 + (km - kv)(km + kv), decides that everywhere, and it refuses couplings
-whose squares overflow, so every reader refuses them alike.
+The coupling matrix M = [[kf, -i(km - kv)], [i(km + kv), -kf]] of the
+zero-energy first-order system is diagonalized in closed form: M^2 =
+lambda^2 I, so every column of M + lambda I is an eigenvector for lambda,
+and the longer column, scaled to unit length, is the spinor (x, i*y) with x
+and y real and x > 0 (or y > 0 when x = 0). Each sign sigma = +/-1 of
+lambda selects one partner potential wtilde^2 - sigma*wtilde'. The
+reduction is well defined only below the critical coupling
+sqrt(kf^2 + km^2); at or above it the square root turns zero or imaginary
+and the shifted superpotential degenerates, so those inputs are refused.
+One radicand, kf^2 + (km - kv)(km + kv), decides that everywhere, all-zero
+couplings included, and it refuses couplings whose squares overflow, so
+every reader refuses them alike.
 """
 
 from dataclasses import dataclass
@@ -79,20 +81,6 @@ def subcritical_radicand(kf, km, kv):
     return rad
 
 
-def coupling_matrix(kf, km, kv):
-    """Explicit 2x2 coupling matrix of the zero-energy first-order system.
-
-    Its eigenvectors are the spinor directions of the quadrature zero mode;
-    its eigenvalues are +-sqrt(kf^2 + km^2 - kv^2).
-    """
-    return np.array(
-        [
-            [kf, -1j * (km - kv)],
-            [1j * (km + kv), -kf],
-        ]
-    )
-
-
 def critical_field(kf, km):
     """Coupling magnitude beyond which the discrete spectrum vanishes."""
     return math.hypot(kf, km)
@@ -136,12 +124,11 @@ def _eigvec(kf, km, kv, lam):
 def spin_eigensystem(kf, km, kv):
     """Both sigma = +/-1 eigenpairs of the coupling matrix.
 
-    Raises ValueError when every coupling is zero, CouplingOverflowError (a
-    ValueError) when the squares overflow, and SupercriticalError at or
-    beyond the critical field, as `reduce` does.
+    Refuses what `reduce` refuses, through the same radicand:
+    CouplingOverflowError (a ValueError) when the squares overflow, and
+    SupercriticalError at or beyond the critical field, which takes in
+    kf = km = kv = 0, where the matrix vanishes and the critical field is 0.
     """
-    if kf == 0 and km == 0 and kv == 0:
-        raise ValueError("all couplings zero: the coupling matrix vanishes")
     root = math.sqrt(subcritical_radicand(kf, km, kv))
     return tuple(
         SpinEigenpair(sigma=sigma, lam=sigma * root,

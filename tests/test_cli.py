@@ -883,8 +883,10 @@ def test_sweep_workflow(tmp_path):
     assert report["results"]["critical_field"] == pytest.approx(5.0)
 
 
-def test_census_window_is_the_continuum_edge(tmp_path, monkeypatch):
-    # the AC-5 sweep values: kappa_v = 5 and 5.5 close the gap (edge 0)
+@pytest.mark.parametrize("workflow", ["spectrum", "arbitrate", "sweep"])
+def test_census_window_is_the_continuum_edge(tmp_path, monkeypatch, workflow):
+    # one eigensolve per census step, in the window +-(its continuum edge);
+    # the AC-5 sweep values kappa_v = 5 and 5.5 close the gap (edge 0)
     windows = []
 
     def spy(matrix, k=None, window=None):
@@ -892,17 +894,28 @@ def test_census_window_is_the_continuum_edge(tmp_path, monkeypatch):
         return eigensolve(matrix, k=k, window=window)
 
     monkeypatch.setattr(numerics, "eigensolve", spy)
-    doc = base_config(
-        workflow="sweep",
-        model={"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
-               "profile": {"type": "tanh", "amplitude": 1.0, "shift": 0.0}},
-        grid={"half_length": 20.0, "n_points": 201},
-        wilson_r=1.0,
-        sweep={"kappa_v_values": [0.0, 2.0, 4.0, 4.9, 5.0, 5.5]},
-    )
-    code, _ = run(parse_config(doc), out_dir=str(tmp_path))
+    ac5_model = {"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
+                 "profile": {"type": "tanh", "amplitude": 1.0, "shift": 0.0}}
+    overrides = {
+        "spectrum": {"model": ac5_model},
+        "arbitrate": {"model": {"type": "coupled", "kappa_f": 1.0, "kappa_m": 1.0,
+                                "kappa_v": 1.0,
+                                "profile": {"type": "tanh", "amplitude": 2.0,
+                                            "shift": 0.0}}},
+        "sweep": {"model": ac5_model,
+                  "sweep": {"kappa_v_values": [0.0, 2.0, 4.0, 4.9, 5.0, 5.5]}},
+    }[workflow]
+    doc = base_config(workflow=workflow, grid={"half_length": 20.0, "n_points": 201},
+                      wilson_r=1.0, **overrides)
+    code, report_path = run(parse_config(doc), out_dir=str(tmp_path))
+    results = json.loads(Path(report_path).read_text())["results"]
+    if workflow != "sweep":
+        edge = results["continuum_edge"]
+        assert edge > 0
+        assert windows == [(-edge, edge)]
+        return
     assert code == 0
-    steps = json.loads((tmp_path / "sweep_report.json").read_text())["results"]["steps"]
+    steps = results["steps"]
     edges = [row["continuum_edge"] for row in steps]
     assert edges[-2:] == [0.0, 0.0]
     assert [row["bound_count"] for row in steps][-2:] == [0, 0]

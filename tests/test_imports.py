@@ -1,5 +1,6 @@
-"""Every import in the source and test trees is used, the package root
-binds nothing but its version, and scipy loads only when a run eigensolves."""
+"""Every import in the source and test trees is used, every public name of
+the package is read outside the unit tests, the package root binds nothing
+but its version, and scipy loads only when a run eigensolves."""
 
 import ast
 import json
@@ -53,6 +54,39 @@ def test_loaded_name_scan_skips_definitions_and_imports():
     source = ("from m import a\nimport b\nc = 1\ndef d():\n    pass\n"
               "class E:\n    pass\nprint(b.f, E)\n")
     assert loaded_names(source) == {"print", "b", "f", "E"}
+
+
+def public_names(source):
+    """(line, name) of each top-level function, class and constant whose
+    name has no leading underscore."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return sorted((line, name) for line, name in found if not name.startswith("_"))
+
+
+def test_public_name_scan_skips_private_and_nested_names():
+    source = ("import os\nA = 1\n_b = 2\nC: int = 3\ndef d():\n    e = 4\n"
+              "def _f():\n    pass\nclass G:\n    h = 5\nif A:\n    i = 6\n")
+    assert public_names(source) == [(2, "A"), (4, "C"), (5, "d"), (9, "G")]
+
+
+def test_every_public_name_is_read_outside_unit_tests():
+    # a public name that only a unit test reads is API that nothing calls:
+    # it moves into that test or goes
+    modules = sorted((ROOT / "src" / "diracosc").glob("*.py"))
+    readers = [*modules, ROOT / "tests" / "test_acceptance.py",
+               ROOT / "tests" / "test_readme.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    assert modules and all(path.exists() for path in readers)
+    read = set().union(*(loaded_names(path.read_text()) for path in readers))
+    found = [f"{p.relative_to(ROOT)}:{line}: {name}" for p in modules
+             for line, name in public_names(p.read_text()) if name not in read]
+    assert not found, ("public names that no library module, acceptance or README "
+                       "test or benchmark reads:\n" + "\n".join(found))
 
 
 # run in a fresh interpreter: import the package, then print the names it

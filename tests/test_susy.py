@@ -12,12 +12,25 @@ from hypothesis import strategies as st
 from diracosc.errors import CouplingOverflowError, SupercriticalError
 from diracosc.model import CoupledModel, TanhProfile
 from diracosc.susy import (
-    coupling_matrix,
     critical_field,
     is_subcritical,
     reduce,
     spin_eigensystem,
 )
+
+
+def coupling_matrix(kf, km, kv):
+    """Explicit 2x2 coupling matrix of the zero-energy first-order system.
+
+    Its eigenvectors are the spinor directions of the quadrature zero mode;
+    its eigenvalues are +-sqrt(kf^2 + km^2 - kv^2).
+    """
+    return np.array(
+        [
+            [kf, -1j * (km - kv)],
+            [1j * (km + kv), -kf],
+        ]
+    )
 
 
 def brute_eigensystem(kf, km, kv):
@@ -82,8 +95,11 @@ def test_supercritical_raises_as_reduce_does():
 
 
 def test_all_zero_couplings_rejected():
-    with pytest.raises(ValueError):
+    # the radicand refuses them: the critical field is 0, and |kappa_v| = 0
+    # is not below it
+    with pytest.raises(SupercriticalError) as err:
         spin_eigensystem(0.0, 0.0, 0.0)
+    assert (err.value.kappa_v, err.value.critical) == (0.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,8 +109,6 @@ def test_all_zero_couplings_rejected():
     kv=st.floats(-5, 5),
 )
 def test_eigenpair_invariants_hold_generically(kf, km, kv):
-    if kf == 0 and km == 0 and kv == 0:
-        return
     rad = kf * kf + (km - kv) * (km + kv)
     if not rad > 0:
         with pytest.raises(SupercriticalError):
