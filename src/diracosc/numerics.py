@@ -55,7 +55,7 @@ loads it; zero-mode constructions, report rechecks and runs that stop at a
 config error need numpy alone and start faster.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -117,8 +117,8 @@ class EigenResult:
 
     kind is "dirac" or "schrodinger". A Dirac vector is the sigma_y-basis
     (w, u) chain of its band: w_j, u_j at rows 2j, 2j + 1 per node, or u on
-    the midpoint after node j on the staggered chain. bound_flags default
-    to False until classify_bound runs.
+    the midpoint after node j on the staggered chain. bound_flags are all
+    False until classify_bound sets them.
     """
 
     kind: str
@@ -126,13 +126,7 @@ class EigenResult:
     values: np.ndarray
     vectors: np.ndarray          # columns match values
     residuals: np.ndarray
-    bound_flags: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.bound_flags is None:
-            object.__setattr__(
-                self, "bound_flags", np.zeros(len(self.values), dtype=bool)
-            )
+    bound_flags: np.ndarray
 
     def bound(self):
         """(values, column indices) of the bound-flagged pairs."""
@@ -429,18 +423,16 @@ def eigensolve(matrix, k=None, window=None, index=None):
         values=vals,
         vectors=vecs,
         residuals=res,
+        bound_flags=np.zeros(len(vals), dtype=bool),
     )
 
 
 def _outer_rows(result):
-    """Row masks (left, right) of the outer OUTER_FRAC of grid nodes per side."""
+    """Rows per side in the outer OUTER_FRAC of grid nodes: rows [:kk] and
+    [-kk:]. A grid has at least 3 nodes, so the two sides never overlap."""
     kk = max(1, int(round(OUTER_FRAC * result.grid.n_points)))
-    if result.kind == "dirac":
-        kk *= 2                      # two interleaved rows per node spacing
-    left = np.zeros(result.vectors.shape[0], dtype=bool)
-    right = left.copy()
-    left[:kk] = right[-kk:] = True
-    return left, right
+    # two interleaved rows per node spacing
+    return 2 * kk if result.kind == "dirac" else kk
 
 
 def _resolve_cluster(result, idx):
@@ -454,8 +446,8 @@ def _resolve_cluster(result, idx):
     residuals are widened by the cluster spread, both within DEGENERACY_TOL.
     """
     vecs = result.vectors[:, idx]
-    left, right = _outer_rows(result)
-    sub = vecs[left | right, :]
+    kk = _outer_rows(result)
+    sub = np.vstack([vecs[:kk], vecs[-kk:]])
     _, rot = np.linalg.eigh(sub.T @ sub)
     mixed = vecs @ rot
     h = result.grid.spacing
@@ -495,8 +487,8 @@ def classify_bound(result, continuum_edge):
             _resolve_cluster(out, cluster)
     density = out.vectors[:, cand] ** 2
     total = density.sum(axis=0)
-    left, right = _outer_rows(out)
-    sides = np.stack([density[left].sum(axis=0), density[right].sum(axis=0)])
+    kk = _outer_rows(out)
+    sides = np.stack([density[:kk].sum(axis=0), density[-kk:].sum(axis=0)])
     # a column without probability mass is never bound
     frac = np.divide(sides, total, out=np.ones_like(sides), where=total > 0)
     out.bound_flags[cand] = np.all(frac <= OUTER_TOL, axis=0)
@@ -510,13 +502,9 @@ def dirac_continuum_edge(profiles, grid):
     the edge is the smaller one, clamped at zero. Exact for the odd
     saturating shapes used throughout; heuristic otherwise.
     """
-    edges = []
-    for xs in (-grid.half_length, grid.half_length):
-        fs = float(_sample(profiles.f, xs))
-        ms = float(_sample(profiles.m, xs))
-        vs = float(_sample(profiles.v, xs))
-        edges.append(math.hypot(fs, ms) - abs(vs))
-    return max(0.0, min(edges))
+    ends = np.array([-grid.half_length, grid.half_length])
+    f, m, v = (_sample(p, ends).tolist() for p in (profiles.f, profiles.m, profiles.v))
+    return max(0.0, min(math.hypot(fs, ms) - abs(vs) for fs, ms, vs in zip(f, m, v)))
 
 
 def schrodinger_continuum_edge(reduced, grid):

@@ -709,6 +709,18 @@ def test_split_wavefunction_csv_matches_csv_writer(tmp_path, n_points):
         assert any(b",-0," in line for line in text[half:])
 
 
+def test_wavefunction_csv_replaces_a_longer_or_shorter_file(tmp_path):
+    # 24001 rows (forked) over a 201-row file, then 201 rows (one process)
+    # over the 24001-row file
+    path = tmp_path / "wavefunction.csv"
+    for n_points in (201, 24001, 201):
+        psi = quadrature_mode(n_points)
+        write_wavefunction_csv(path, psi)
+        assert_no_child_left()
+        reference_wavefunction_csv(tmp_path / "reference.csv", psi)
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes(), n_points
+
+
 @pytest.mark.parametrize("call", ["pipe", "fork"])
 def test_wavefunction_csv_without_a_child_process(tmp_path, monkeypatch, call):
     # EAGAIN or ENOMEM under a process or memory limit: this process
@@ -1135,6 +1147,21 @@ def test_report_determinism(tmp_path):
     ra = strip_timestamp((a / "spectrum_report.json").read_text())
     rb = strip_timestamp((b / "spectrum_report.json").read_text())
     assert ra == rb
+
+
+def test_rerun_replaces_the_report_with_a_new_file(tmp_path):
+    # the second run's report is a new file: a hard link to the first one
+    # keeps the first run's bytes, and the two differ only in generated_at
+    doc = base_config(grid={"half_length": 10.0, "n_points": 401})
+    out = tmp_path / "out"
+    _, report_path = run(parse_config(doc), out_dir=str(out))
+    first = Path(report_path).read_bytes()
+    os.link(report_path, tmp_path / "first.json")
+    assert run(parse_config(doc), out_dir=str(out))[1] == report_path
+    assert not os.path.samefile(tmp_path / "first.json", report_path)
+    assert (tmp_path / "first.json").read_bytes() == first
+    assert (strip_timestamp(Path(report_path).read_text())
+            == strip_timestamp(first.decode()))
 
 
 def test_recheck_reproduces_verdicts(tmp_path, capsys):
