@@ -314,8 +314,11 @@ def bound_census(model, grid, tables, tol):
     CouplingOverflowError. Otherwise the operator is the staggered chain
     (numerics.build_staggered); only pairs inside the continuum edge can be
     bound, so that edge is the eigen-window, and a zero edge (a profile that
-    vanishes at a box end) solves nothing either. E^2 values closer than tol
-    share a cluster.
+    vanishes at a box end) solves nothing either. numerics.tunnelling_bound
+    judges the window's values from them and the band alone: a value is
+    bound when its tunnelling exponent to each wall is at least
+    numerics.TUNNEL_MIN and it is not a wall state of the chain. E^2 values
+    closer than tol share a cluster.
     """
     subcritical = susy.is_subcritical(model.kappa_f, model.kappa_m, model.kappa_v)
     profiles = model.general()
@@ -323,8 +326,8 @@ def bound_census(model, grid, tables, tol):
     values = np.empty(0)
     if edge > 0:
         matrix = numerics.build_staggered(profiles, grid)
-        result = numerics.eigensolve(matrix, window=(-edge, edge))
-        values, _ = numerics.classify_bound(result, edge).bound()
+        values = numerics.eigensolve(matrix, window=(-edge, edge)).values
+        values = values[numerics.tunnelling_bound(matrix, values, edge)]
     clusters = _cluster_e_squared(values, tol)
     matches = [(table, *_match_tables(table, clusters, tol)) for table in tables]
     return BoundCensus(subcritical, values, edge, clusters, matches)
@@ -335,7 +338,7 @@ def config_warnings(model, wilson_r):
 
     A wilson_r the config sets (None when it sets none) has no effect, since
     the census operator needs no regulator; and a sloped linear profile
-    never saturates, so its box-end edge is no threshold.
+    never saturates, so its box-end edge is only the window's cutoff.
     """
     warnings = []
     if wilson_r is not None:
@@ -347,7 +350,9 @@ def config_warnings(model, wilson_r):
         warnings.append(
             f"the linear profile (slope {model.profile.slope:g}) does not saturate: "
             "the continuum edge is its box-end value and grows with "
-            "grid.half_length, so it is not a scattering threshold"
+            "grid.half_length, so it is not a scattering threshold but the "
+            "eigen-window's cutoff; levels inside it are judged by their "
+            "tunnelling exponents to the walls"
         )
     return warnings
 

@@ -50,6 +50,15 @@ over twice the bisection tolerance around it finds one eigenvalue;
 otherwise the solve falls back to the k = index + 1 solve and returns its
 last pair.
 
+The census (cli.bound_census) judges the values of its window by
+`tunnelling_bound`, which reads the values and the staggered band alone:
+a value is bound when its WKB tunnelling exponent to each wall is at least
+TUNNEL_MIN, unless it is the chain's wall state at an end, whose Rayleigh
+quotient the band gives in closed form. `classify_bound` is the older,
+geometric verdict (at most OUTER_TOL of a pair's weight in each outer
+OUTER_FRAC of the box, degenerate clusters re-mixed first); the library
+tests of the per-node operator and the second-order binding filter use it.
+
 scipy.linalg is imported inside the eigensolver, so the first eigensolve
 loads it; zero-mode constructions, report rechecks and runs that stop at a
 config error need numpy alone and start faster.
@@ -70,6 +79,12 @@ from .errors import (
 )
 from .model import Grid, ScalarField
 
+# tunnelling_bound: a census value is bound when its tunnelling exponent to
+# each wall is at least TUNNEL_MIN (its box shift is then about
+# e^(-2 TUNNEL_MIN) of its scale); a decaying wall state takes the passing
+# value nearest its Rayleigh quotient within max(WALL_TOL, its residual)
+TUNNEL_MIN = 2.0
+WALL_TOL = 1e-6
 # classify_bound: a bound state keeps at most OUTER_TOL of its probability in
 # the outer OUTER_FRAC of the grid on each side; eigenvalues closer than
 # DEGENERACY_TOL form one cluster
@@ -493,6 +508,100 @@ def classify_bound(result, continuum_edge):
     frac = np.divide(sides, total, out=np.ones_like(sides), where=total > 0)
     out.bound_flags[cand] = np.all(frac <= OUTER_TOL, axis=0)
     return out
+
+
+def _tunnelling_exponents(d, e, h, values):
+    """Tunnelling exponents, shape (2, len(values)), of staggered-chain
+    values to the left and the right wall.
+
+    The chain (diagonal d, bonds e, spacing h) holds v + f on a node, v - f
+    on a midpoint and m/2 +- 1/h on a bond, so on bond k
+    q_k(E) = m_k^2 - (E - d_k)(E - d_{k+1}) is f^2 + m^2 - (E - v)^2 on the
+    chain's own samples. An exponent is the sum of sqrt(max(q, 0)) * h/2 over
+    the bonds from the outermost one where E is classically allowed (q <= 0)
+    to that wall, or from the bond of least q when E is allowed on none: a
+    midpoint rule for the WKB integral. Values go in blocks, so the
+    (values, bonds) arrays stay near 8 MB.
+    """
+    half_m = e.copy()
+    half_m[0::2] -= 1.0 / h
+    half_m[1::2] += 1.0 / h
+    # q = a + b E - E^2
+    a = 4.0 * half_m**2 - d[:-1] * d[1:]
+    b = d[:-1] + d[1:]
+    n = len(e)
+    out = np.empty((len(values), 2))
+    block = max(1, 2**20 // n)
+    for start in range(0, len(values), block):
+        E = values[start:start + block, None]
+        # one array, q = a + (b - E) E per row, with a zero column after the
+        # last bond that keeps reduceat's index left + 1 = n in range
+        padded = np.zeros((len(E), n + 1))
+        q = padded[:, :n]
+        np.subtract(b, E, out=q)
+        q *= E
+        q += a
+        # the allowed bonds, or the bonds of least q when none is allowed
+        turning = q <= np.maximum(q.min(axis=1), 0.0)[:, None]
+        left = np.argmax(turning, axis=1)
+        right = n - 1 - np.argmax(turning[:, ::-1], axis=1)
+        np.sqrt(np.maximum(q, 0.0, out=q), out=q)
+        # per row, the sums over bonds [0, left], (left, right) and [right, n]
+        row = (n + 1) * np.arange(len(E))
+        sums = np.add.reduceat(padded.ravel(),
+                               np.stack([row, row + left + 1, row + right], axis=1).ravel())
+        out[start:start + block] = sums.reshape(-1, 3)[:, ::2]
+    return 0.5 * h * out.T
+
+
+def _wall_state(d, e):
+    """(Rayleigh quotient, residual) of the u = 0 trial state at the first
+    node of a staggered chain (diagonal d, bonds e), or None when that state
+    does not decay into the box.
+
+    With u = 0 each midpoint row reads e_2j w_j + e_2j+1 w_j+1 = 0, so the
+    trial follows w_j+1 / w_j = -e_2j / e_2j+1 from the wall for as long as
+    that ratio has modulus below 1, and is zero beyond. Its node rows leave
+    (d_2j - quotient) w_j, and the midpoint after its last node s leaves
+    e_2s w_s.
+    """
+    ratio = -e[0::2] / e[1::2]
+    stop = int(np.argmax(np.append(np.abs(ratio) >= 1.0, True)))
+    if stop == 0:
+        return None
+    w2 = np.cumprod(np.append(1.0, ratio[:stop])) ** 2
+    diag = d[0:2 * stop + 1:2]
+    quotient = float(np.dot(diag, w2) / w2.sum())
+    tail = e[2 * stop] ** 2 * w2[-1] if stop < len(ratio) else 0.0
+    return quotient, math.sqrt((np.dot((diag - quotient) ** 2, w2) + tail) / w2.sum())
+
+
+def tunnelling_bound(matrix, values, edge):
+    """Which values of a staggered chain's census window (-edge, edge] are
+    bound states, read from the values and the band alone.
+
+    A value passes when its tunnelling exponent to each wall is at least
+    TUNNEL_MIN (see _tunnelling_exponents): its box shift is then about
+    e^(-2 TUNNEL_MIN) of its scale. The chain also has a state at each wall
+    with u = 0, exact at E = v + f where f and v are constant near that
+    end, which the exponents cannot tell from a bound level. So for each end
+    whose u = 0 state decays into the box and whose Rayleigh quotient lies
+    in the window (see _wall_state), the passing value nearest that
+    quotient is not bound when it lies within max(WALL_TOL, the trial's
+    residual). No eigenvector is read, and no profile is sampled again.
+    """
+    d, e = matrix.storage[0], matrix.storage[1, :-1]
+    bound = np.all(_tunnelling_exponents(d, e, matrix.grid.spacing, values)
+                   >= TUNNEL_MIN, axis=0)
+    for wall in (_wall_state(d, e), _wall_state(d[::-1], e[::-1])):
+        passing = np.flatnonzero(bound)
+        if wall is None or not len(passing) or not -edge < wall[0] <= edge:
+            continue
+        quotient, residual = wall
+        near = passing[np.argmin(np.abs(values[passing] - quotient))]
+        if abs(values[near] - quotient) <= max(WALL_TOL, residual):
+            bound[near] = False
+    return bound
 
 
 def dirac_continuum_edge(profiles, grid):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracosc import analytic, cli, kernels, numerics
+from diracosc import analytic, cli, kernels, numerics, susy
 from diracosc.cli import (
     CSV_SPLIT_ROWS,
     bound_census,
@@ -986,6 +986,138 @@ def test_ac5_sweep_counts_the_closed_form_levels(tmp_path):
                 if kv < 5.0 else 0 for kv in fields]
     assert expected == [9, 5, 1, 1, 0, 0]
     assert counts == expected
+
+
+def test_sweep_step_a_few_ulps_below_the_critical_field_counts_nothing(tmp_path):
+    # the couplings of the critical-sweep benchmark at seed 5: the critical
+    # field hypot(kappa_f, kappa_m) is 5.0, yet the radicand at kappa_v 5 is
+    # +3.6e-15, so the census solves there with an edge near 1e-15; the
+    # chain's exact E = 0 eigenvalue then has tunnelling exponent
+    # sqrt(radicand) * integral of |W|, about 1e-6, far below TUNNEL_MIN, so
+    # the step counts 0 and the sweep's own check passes
+    kf, km, amplitude = 2.9460388874008285, 4.039907780373469, 0.9955376680367206
+    assert math.hypot(kf, km) == 5.0
+    radicand = susy.subcritical_radicand(kf, km, 5.0)
+    assert 0.0 < radicand < 1e-14
+    assert math.sqrt(radicand) * amplitude * math.log(math.cosh(20.0)) < numerics.TUNNEL_MIN
+    fields = [0.0, 2.0, 4.0, 4.9, 5.0, 5.5]
+    doc = base_config(
+        workflow="sweep",
+        model={"type": "coupled", "kappa_f": kf, "kappa_m": km, "kappa_v": 0.0,
+               "profile": {"type": "tanh", "amplitude": amplitude, "shift": 0.0}},
+        grid={"half_length": 20.0, "n_points": 1201}, wilson_r=1.0,
+        sweep={"kappa_v_values": fields})
+    config = parse_config(doc)
+    code, report_path = run(config, out_dir=str(tmp_path))
+    with open(report_path) as handle:
+        steps = json.load(handle)["results"]["steps"]
+    assert steps[4]["subcritical"] and steps[4]["continuum_edge"] > 0.0
+    expected = [len(closed_form_tables(replace(config.model, kappa_v=kv),
+                                       config.grid)[-1].entries)
+                if kv < 5.0 else 0 for kv in fields]
+    assert expected == [9, 5, 1, 1, 0, 0]
+    assert [row["bound_count"] for row in steps] == expected
+    assert code == 0
+
+
+def ac5_census(kappa_v, amplitude=1.0, n_points=1201):
+    model = CoupledModel(3.0, 4.0, kappa_v, TanhProfile(amplitude))
+    return model, bound_census(model, Grid(20.0, n_points), [], 1e-3)
+
+
+def test_census_near_the_critical_field_counts_no_unresolved_state():
+    # AC-5 model at kappa_v 4.9999: the field table lists its E = 0 level,
+    # but that level's decay length 1/sqrt(25 - kappa_v^2) = 32 exceeds the
+    # box, and its exponent sqrt(25 - kappa_v^2) * ln cosh 20 = 0.61 is
+    # below TUNNEL_MIN, so the census holds the chain's E = 0 eigenvalue in
+    # its window and counts nothing
+    model, census = ac5_census(4.9999)
+    assert math.sqrt(25.0 - 4.9999**2) * math.log(math.cosh(20.0)) < numerics.TUNNEL_MIN
+    (table,) = closed_form_tables(model, Grid(20.0, 1201))[-1:]
+    assert [rec.e_squared for rec in table.entries] == [0.0]
+    matrix = numerics.build_staggered(model.general(), Grid(20.0, 1201))
+    assert len(eigensolve(matrix, window=(-census.edge, census.edge)).values) == 1
+    assert len(census.values) == 0
+
+
+def test_census_keeps_a_field_level_with_a_wall_exponent_near_3():
+    # at amplitude 0.98 and kappa_v 2 the rederived field table lists 5
+    # states; its top level's wall exponent is about 2.9, so TUNNEL_MIN = 2
+    # counts all 5 where a bound of 4 would count 3
+    model, census = ac5_census(2.0, amplitude=0.98)
+    _, rederived = analytic.rm2_with_field_levels(0.98, 3.0, 4.0, 2.0)
+    assert len(rederived.entries) == 5
+    assert len(census.values) == 5
+    grid = Grid(20.0, 1201)
+    band = numerics.build_staggered(model.general(), grid).storage
+    exponents = numerics._tunnelling_exponents(band[0], band[1, :-1], grid.spacing,
+                                               census.values)
+    assert numerics.TUNNEL_MIN <= exponents.min() < 4.0
+    e2 = np.sort(census.values**2)
+    assert e2 == pytest.approx(sorted(rec.e_squared for rec in rederived.entries),
+                               abs=5e-3)
+
+
+def test_census_finds_every_dirac_oscillator_level_its_exponents_resolve():
+    # linear slope 0.1 at kappa 5 is the Dirac oscillator f^2 + m^2 = x^2/4,
+    # whose levels are E^2 = n (n = 0 once, every other n as a +-E pair).
+    # Level n's exponent to the wall at L = 20 is, in closed form,
+    # integral from 2 sqrt(n) to 20 of sqrt(x^2/4 - n) dx; it is at least
+    # TUNNEL_MIN up to n = 90 (2.15) and below it from n = 91 (1.83). Every
+    # kept level lies within its second-order grid error, below (n h)^2 / 16,
+    # and halving h cuts that error by at least 3
+    def exponent(n, half_length=20.0):
+        a = 2.0 * math.sqrt(n)
+        root = math.sqrt(half_length**2 - a * a)
+        return 0.25 * (half_length * root - a * a * math.log((half_length + root) / a))
+
+    top = max(n for n in range(1, 100) if exponent(n) >= numerics.TUNNEL_MIN)
+    assert top == 90 and exponent(91) < numerics.TUNNEL_MIN
+    model = CoupledModel(3.0, 4.0, 0.0, LinearProfile(0.1))
+    errors = {}
+    for n_points in (4001, 8001):
+        grid = Grid(20.0, n_points)
+        e2 = np.sort(bound_census(model, grid, [], 1e-3).values ** 2)
+        n = np.rint(e2)
+        assert n.tolist() == [0.0] + [float(k) for k in range(1, top + 1) for _ in "+-"]
+        errors[n_points] = np.abs(e2 - n)
+        assert np.all(errors[n_points] <= (n * grid.spacing) ** 2 / 16.0 + 1e-12)
+    assert np.all(errors[8001][1:] <= errors[4001][1:] / 3.0)
+
+
+def test_mass_kink_keeps_one_zero_energy_state():
+    # kappa_f = 0: with f = v = 0 the chain's two wall states sit at E = 0
+    # exactly, each a trial state of quotient 0, next to the zero mode; the
+    # wall rule drops two of the three E = 0 values, so the census holds the
+    # Rosen-Morse II table of A = 4: E^2 = 0 once, 7, 12 and 15 twice
+    model = CoupledModel(0.0, 4.0, 0.0, TanhProfile(1.0))
+    grid = Grid(20.0, 2001)
+    band = numerics.build_staggered(model.general(), grid).storage
+    d, e = band[0], band[1, :-1]
+    walls = [numerics._wall_state(d, e), numerics._wall_state(d[::-1], e[::-1])]
+    assert [quotient for quotient, _ in walls] == [0.0, 0.0]
+    census = bound_census(model, grid, closed_form_tables(model, grid), 5e-3)
+    assert np.sum(np.abs(census.values) < 1e-12) == 1
+    (table,) = closed_form_tables(model, grid)
+    assert len(census.values) == len(table.entries) == 7
+    (_, _, verdict), = census.matches
+    assert verdict["agrees_within_tolerance"]
+
+
+def test_negative_tanh_has_no_decaying_wall_state():
+    # W = -0.8 tanh puts m > 0 at the left end and m < 0 at the right, so
+    # the u = 0 wall state grows into the box at both ends,
+    # |w_j+1 / w_j| = (1 + h|m|/2) / (1 - h|m|/2) > 1, and no value is
+    # dropped: the census keeps the 7 states of Rosen-Morse II at A = 4
+    model = CoupledModel(3.0, 4.0, 0.0, TanhProfile(-0.8))
+    grid = Grid(20.0, 1201)
+    band = numerics.build_staggered(model.general(), grid).storage
+    d, e = band[0], band[1, :-1]
+    assert numerics._wall_state(d, e) is None
+    assert numerics._wall_state(d[::-1], e[::-1]) is None
+    census = bound_census(model, grid, closed_form_tables(model, grid), 5e-2)
+    (table,) = closed_form_tables(model, grid)
+    assert len(census.values) == len(table.entries) == 7
 
 
 @pytest.mark.parametrize("workflow", ["spectrum", "sweep", "arbitrate"])

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from diracosc import kernels, numerics
+from diracosc import analytic, kernels, numerics
 from diracosc.cli import bound_census
 from diracosc.errors import (
     BoxStateError,
@@ -517,6 +517,71 @@ def test_classify_bound_jackiw_rebbi_single_flag():
     res = eigensolve(matrix, window=(-3.0, 3.0))
     cls = classify_bound(res, dirac_continuum_edge(profiles, g))
     assert int(cls.bound_flags.sum()) == 1
+
+
+def continuum_exponents(kf, km, kv, amplitude, half_length, energies, n=200001):
+    """WKB exponents of the continuum problem by a fine trapezoid rule:
+    the integral of sqrt(max(0, f^2 + m^2 - (E - v)^2)) from the outermost
+    classically allowed point to each wall (from the point of least
+    f^2 + m^2 - (E - v)^2 when E is allowed nowhere)."""
+    x = np.linspace(-half_length, half_length, n)
+    w = amplitude * np.tanh(x)
+    out = []
+    for energy in energies:
+        q = (kf * kf + km * km) * w * w - (energy - kv * w) ** 2
+        root = np.sqrt(np.maximum(q, 0.0))
+        allowed = np.flatnonzero(q <= 0.0)
+        lo, hi = (allowed[0], allowed[-1]) if len(allowed) else (np.argmin(q),) * 2
+        out.append((np.trapezoid(root[:lo + 1], x[:lo + 1]),
+                    np.trapezoid(root[hi:], x[hi:])))
+    return np.array(out).T
+
+
+def test_tunnelling_exponents_converge_to_the_continuum_integral():
+    # the chain's midpoint sums against a fine quadrature of the continuum
+    # integrand, at the levels of the rederived field table of the AC-5 model
+    # at kappa_v 2 (E^2 = 0, 6.2251 and 8.9580, each E of both signs): they
+    # agree within h and get closer as h halves
+    kf, km, kv = 3.0, 4.0, 2.0
+    _, table = analytic.rm2_with_field_levels(1.0, kf, km, kv)
+    energies = np.array(sorted({sign * math.sqrt(rec.e_squared)
+                                for rec in table.entries for sign in (1.0, -1.0)}))
+    assert len(energies) == 5
+    reference = continuum_exponents(kf, km, kv, 1.0, 20.0, energies)
+    # the top level's exponent to its nearer wall is about 4.3
+    assert 4.0 < reference.min() < 5.0
+    gaps = []
+    for n_points in (1201, 2401):
+        grid = Grid(20.0, n_points)
+        band = build_staggered(CoupledModel(kf, km, kv, TanhProfile(1.0)).general(),
+                               grid).storage
+        chain = numerics._tunnelling_exponents(band[0], band[1, :-1], grid.spacing,
+                                               energies)
+        gaps.append(np.abs(chain - reference).max())
+        assert gaps[-1] <= grid.spacing
+    assert gaps[1] < gaps[0]
+
+
+def test_wall_state_quotient_is_the_end_value_of_v_plus_f():
+    # AC-5 model at kappa_v 0: m = 4 tanh x is negative at the left end and
+    # positive at the right, so the u = 0 state decays into the box from
+    # both walls, with E = v + f = -+3 tanh 20 where f is constant; the
+    # window (-5, 5] holds both, and the census drops them and keeps the 9
+    # states of Rosen-Morse II at A = 5
+    grid = Grid(20.0, 1201)
+    profiles = CoupledModel(3.0, 4.0, 0.0, TanhProfile(1.0)).general()
+    matrix = build_staggered(profiles, grid)
+    d, e = matrix.storage[0], matrix.storage[1, :-1]
+    (left, left_res), (right, right_res) = (numerics._wall_state(d, e),
+                                            numerics._wall_state(d[::-1], e[::-1]))
+    assert left == pytest.approx(-3.0, abs=1e-9) and right == pytest.approx(3.0, abs=1e-9)
+    assert max(left_res, right_res) < numerics.WALL_TOL
+    edge = dirac_continuum_edge(profiles, grid)
+    values = eigensolve(matrix, window=(-edge, edge)).values
+    bound = numerics.tunnelling_bound(matrix, values, edge)
+    assert int(bound.sum()) == 9
+    dropped = values[~bound]
+    assert np.min(np.abs(dropped + 3.0)) < 1e-9 and np.min(np.abs(dropped - 3.0)) < 1e-9
 
 
 def test_staggered_mass_kink_separates_wall_states_from_the_zero_mode():

@@ -55,3 +55,10 @@ def test_benchmark_passes_every_operation_at_seed_7(tmp_path, workload):
     # a nonzero seed draws other amplitudes, shifts and couplings, so the
     # outputs and exit codes of inputs that seed 0 never tries are checked too
     assert run_benchmark(tmp_path, workload, 7)["failed"] == 0
+
+
+def test_critical_sweep_passes_every_operation_at_seed_5(tmp_path):
+    # seed 5 draws couplings whose critical field hypot(kappa_f, kappa_m) is
+    # 5.0 while the radicand at kappa_v 5.0 is +3.6e-15: the census solves
+    # that step, and the chain's E = 0 eigenvalue must not count there
+    assert run_benchmark(tmp_path, "critical-sweep", 5)["failed"] == 0
