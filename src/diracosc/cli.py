@@ -306,7 +306,7 @@ def bound_census(model, grid, tables, tol):
     its BoundCensus record.
 
     The one census step of the spectrum, sweep and arbitrate workflows, at
-    most one eigensolve per call; each runner reports from the records it
+    most one window solve per call; each runner reports from the records it
     returns and solves nothing itself. susy.is_subcritical decides whether
     it solves: at or beyond the critical field, one ulp below it included
     when the radicand is not positive, the edge is taken as 0 and nothing is
@@ -314,11 +314,11 @@ def bound_census(model, grid, tables, tol):
     CouplingOverflowError. Otherwise the operator is the staggered chain
     (numerics.build_staggered); only pairs inside the continuum edge can be
     bound, so that edge is the eigen-window, and a zero edge (a profile that
-    vanishes at a box end) solves nothing either. numerics.tunnelling_bound
-    judges the window's values from them and the band alone: a value is
-    bound when its tunnelling exponent to each wall is at least
-    numerics.TUNNEL_MIN and it is not a wall state of the chain. E^2 values
-    closer than tol share a cluster.
+    vanishes at a box end) solves nothing either. numerics.bound_levels
+    solves the window for values only and judges them from the values and
+    the band alone: a value is bound when its tunnelling exponent to each wall
+    is at least numerics.TUNNEL_MIN and it is not a wall state of the
+    chain. E^2 values closer than tol share a cluster.
     """
     subcritical = susy.is_subcritical(model.kappa_f, model.kappa_m, model.kappa_v)
     profiles = model.general()
@@ -326,8 +326,7 @@ def bound_census(model, grid, tables, tol):
     values = np.empty(0)
     if edge > 0:
         matrix = numerics.build_staggered(profiles, grid)
-        values = numerics.eigensolve(matrix, window=(-edge, edge)).values
-        values = values[numerics.tunnelling_bound(matrix, values, edge)]
+        values = numerics.bound_levels(matrix, edge)
     clusters = _cluster_e_squared(values, tol)
     matches = [(table, *_match_tables(table, clusters, tol)) for table in tables]
     return BoundCensus(subcritical, values, edge, clusters, matches)

@@ -17,7 +17,8 @@ and the r = 1 per-node band: all go to one call of LAPACK's tridiagonal
 solver. Only a per-node band at r != 1 builds a dense matrix. Either way
 every eigenvector is real: the (w, u) chain of the band that was solved.
 The residual diagnostic `dirac_residual` applies the per-node r = 0
-stencil to f, m, v sampled on the nodes and directly to the physical
+operator, with a five-point first derivative (`_central`), to f, m, v
+sampled on the nodes and directly to the physical
 (psi1, psi2) samples of a spinor, so it measures the continuum equation
 without assembling a band.
 
@@ -32,13 +33,6 @@ other get one Rayleigh-Ritz step together, which separates pairs split
 below the bisection tolerance. The full-spectrum call does no bisection
 and keeps LAPACK's values.
 
-A Dirac window (-hi, hi] of a tridiagonal band that reversal negates,
-J T J = -T to REFLECTION_TOL*||T|| (the staggered chain of odd f, m and
-v), is bisected on (-tol, hi] only, tol the bisection tolerance: the pair
-at -E is the reversed vector of the pair at E. One Sturm count of
-(-hi, hi] must equal the number of pairs returned, else the full window is
-solved.
-
 An index solve (one Schrodinger pair, what each Newton step of
 `selfconsistent_level` reads) bisects and iterates for that pair alone,
 not for every pair below it as the k = index + 1 solve does. A lone pair
@@ -50,17 +44,22 @@ over twice the bisection tolerance around it finds one eigenvalue;
 otherwise the solve falls back to the k = index + 1 solve and returns its
 last pair.
 
-The census (cli.bound_census) judges the values of its window by
-`tunnelling_bound`, which reads the values and the staggered band alone:
-a value is bound when its WKB tunnelling exponent to each wall is at least
-TUNNEL_MIN, unless it is the chain's wall state at an end, whose Rayleigh
-quotient the band gives in closed form. `classify_bound` is the older,
+The census (cli.bound_census) takes its levels from `bound_levels`, which
+solves the window for values and judges them from the values and the
+staggered band alone. On a band that reversal negates, J T J = -T to
+REFLECTION_TOL*||T|| (the staggered chain of odd f, m and v), it solves
+(-tol, edge] only, tol the bisection tolerance, and mirrors each value
+above tol to -value, once one Sturm count of (-edge, edge] agrees; else
+it solves the full window. A value is bound when its WKB tunnelling
+exponent to each wall is at least TUNNEL_MIN, unless it is the chain's
+wall state at an end, whose Rayleigh quotient the band gives in closed
+form. No census eigenvector leaves `_pairs`. `classify_bound` is the older,
 geometric verdict (at most OUTER_TOL of a pair's weight in each outer
 OUTER_FRAC of the box, degenerate clusters re-mixed first); the library
 tests of the per-node operator and the second-order binding filter use it.
 
-scipy.linalg is imported inside the eigensolver, so the first eigensolve
-loads it; zero-mode constructions, report rechecks and runs that stop at a
+scipy.linalg is imported inside the eigensolver, so the first solve
+(eigensolve or bound_levels) loads it; zero-mode constructions, report rechecks and runs that stop at a
 config error need numpy alone and start faster.
 """
 
@@ -79,7 +78,7 @@ from .errors import (
 )
 from .model import Grid, ScalarField
 
-# tunnelling_bound: a census value is bound when its tunnelling exponent to
+# bound_levels: a census value is bound when its tunnelling exponent to
 # each wall is at least TUNNEL_MIN (its box shift is then about
 # e^(-2 TUNNEL_MIN) of its scale); a decaying wall state takes the passing
 # value nearest its Rayleigh quotient within max(WALL_TOL, its residual)
@@ -102,9 +101,9 @@ GROUP_TOLS = 1000.0
 # eigensolve, index selection: residual above which a lone pair is redone
 # with the pairs below it (isolated pairs leave about 0.3 eps * ||T||)
 LONE_RESIDUAL_TOL = 10.0 * np.finfo(float).eps
-# eigensolve, symmetric Dirac windows: a band within REFLECTION_TOL * ||T|| of
-# odd under reversal solves E >= 0 only (Weyl: the gap moves no eigenvalue by
-# more than about 3 * REFLECTION_TOL * ||T||)
+# bound_levels: a band within REFLECTION_TOL * ||T|| of odd under reversal
+# solves E >= 0 only (Weyl: the gap moves no eigenvalue by more than about
+# 3 * REFLECTION_TOL * ||T||)
 REFLECTION_TOL = 10.0 * np.finfo(float).eps
 # selfconsistent_level: energy step that ends the Newton loop, and its
 # iteration budget
@@ -324,31 +323,30 @@ def _is_pair(band, bisected, value, residual, norm):
 
 def _is_reflection_odd(band, norm):
     """Whether reversing the chain negates the tridiagonal band to
-    REFLECTION_TOL*||T|| (J T J = -T, J the reversal): then the pair at -E
-    is the reversed vector of the pair at E."""
+    REFLECTION_TOL*||T|| (J T J = -T, J the reversal): then -E is an
+    eigenvalue whenever E is."""
     d, e = band[0], band[1, :-1]
     gap = max(np.abs(d + d[::-1]).max(), np.abs(e + e[::-1]).max(initial=0.0))
     return gap <= REFLECTION_TOL * norm
 
 
-def _mirrored_pairs(band, hi, norm):
-    """_pairs of the window (-hi, hi] on a reflection-odd band, or None.
+def _tridiagonal_norm(matrix):
+    """max|d| + 2*max|e|, the bound on ||T|| of a tridiagonal band.
 
-    Only (-tol, hi] is solved, tol = BISECT_TOL*||T||; every pair whose value
-    exceeds tol also gives the pair (-value, reversed vector), with its
-    residual taken on the stored band. The result stands only when one Sturm
-    count of (-hi, hi] equals the number of pairs; otherwise it is None. Its
-    bisected values are None: only an index solve reads them, and an index
-    solve is never mirrored.
+    Raises GridOverflowError when its square is not finite (entries past
+    about 1e154: a grid spacing or a profile scale that LAPACK's bisection
+    cannot square).
     """
-    _, vals, vecs, res = _pairs(band, "v", (-BISECT_TOL * norm, hi), norm)
-    up = np.flatnonzero(vals > BISECT_TOL * norm)[::-1]
-    if _sturm_count(band, -hi, hi) != len(vals) + len(up):
-        return None
-    mvals, mvecs = -vals[up], vecs[::-1, up]
-    mres = np.linalg.norm(kernels.band_matvec(band, mvecs) - mvecs * mvals, axis=0)
-    return (None, np.concatenate([mvals, vals]), np.hstack([mvecs, vecs]),
-            np.concatenate([mres, res]))
+    band = matrix.storage
+    # Python floats overflow to inf silently
+    norm = float(np.abs(band[0]).max()) + 2.0 * float(np.abs(band[1, :-1]).max(initial=0.0))
+    if not math.isfinite(norm * norm):
+        raise GridOverflowError(
+            f"the operator's entries reach {norm:g} at grid spacing h = "
+            f"{matrix.grid.spacing:g}; their squares overflow, so LAPACK "
+            "cannot solve it"
+        )
+    return norm
 
 
 def eigensolve(matrix, k=None, window=None, index=None):
@@ -364,20 +362,15 @@ def eigensolve(matrix, k=None, window=None, index=None):
     value as the Rayleigh quotient of its vector, with one Rayleigh-Ritz
     step per group of values closer than GROUP_TOLS bisection tolerances
     (see _rayleigh_refine). A tridiagonal band whose norm bound squared is
-    not finite (entries past about 1e154: a grid spacing or a profile
-    scale that LAPACK's bisection cannot square) is refused with
-    GridOverflowError, which a LAPACK failure raises too. An index solve
-    bisects and iterates for that
-    pair alone, so a neighbour closer than the bisection tolerance has no
-    Rayleigh-Ritz step to be separated in. The lone pair is kept only when
-    its residual is at most LONE_RESIDUAL_TOL*||T|| and one Sturm count ties
-    it to `index` (see _is_pair); otherwise the solve returns pair `index`
-    of the k = index + 1 solve, bit for bit. A Dirac window (-hi, hi] on a
-    tridiagonal band whose reversal negates it to REFLECTION_TOL*||T||
-    (max of |d + d[::-1]| and |e + e[::-1]|) solves (-tol, hi] only and
-    mirrors each pair above tol to (-value, reversed vector); when one
-    Sturm count of (-hi, hi] differs from the number of pairs, or the band
-    is not reflection-odd, the full window is solved (see _mirrored_pairs).
+    not finite is refused with GridOverflowError (see _tridiagonal_norm),
+    which a LAPACK failure raises too. An index solve bisects and iterates
+    for that pair alone, so a neighbour closer than the bisection tolerance
+    has no Rayleigh-Ritz step to be separated in. The lone pair is kept only
+    when its residual is at most LONE_RESIDUAL_TOL*||T|| and one Sturm count
+    ties it to `index` (see _is_pair); otherwise the solve returns pair
+    `index` of the k = index + 1 solve, bit for bit. A window is solved as
+    asked; the census's half-window solve of reflection-odd chains is in
+    bound_levels, which reads values only.
     Residuals are taken on the stored band, and every vector is returned as
     the real chain of that band: a Dirac vector in its sigma_y-basis (w, u)
     rows (see EigenResult). Values are in ascending order.
@@ -409,24 +402,8 @@ def eigensolve(matrix, k=None, window=None, index=None):
         select, select_range = "i", (index, index)
     elif window is not None:
         select, select_range = "v", window
-    norm = None
-    if not band[2:].any():
-        # max|d| + 2*max|e| bounds ||T||; Python floats overflow to inf silently
-        norm = (float(np.abs(band[0]).max())
-                + 2.0 * float(np.abs(band[1, :-1]).max(initial=0.0)))
-        if not math.isfinite(norm * norm):
-            raise GridOverflowError(
-                f"the operator's entries reach {norm:g} at grid spacing h = "
-                f"{matrix.grid.spacing:g}; their squares overflow, so LAPACK "
-                "cannot solve it"
-            )
-    pairs = None
-    if (window is not None and norm is not None and window[0] == -window[1]
-            and _is_reflection_odd(band, norm)):
-        pairs = _mirrored_pairs(band, window[1], norm)
-    if pairs is None:
-        pairs = _pairs(band, select, select_range, norm)
-    bisected, vals, vecs, res = pairs
+    norm = None if band[2:].any() else _tridiagonal_norm(matrix)
+    bisected, vals, vecs, res = _pairs(band, select, select_range, norm)
     # at index 0 the lone pair is the k = 1 solve already
     if index and not _is_pair(band, bisected[0], vals[0], res[0], norm):
         _, vals, vecs, res = _pairs(band, "i", (0, index), norm)
@@ -576,11 +553,21 @@ def _wall_state(d, e):
     return quotient, math.sqrt((np.dot((diag - quotient) ** 2, w2) + tail) / w2.sum())
 
 
-def tunnelling_bound(matrix, values, edge):
-    """Which values of a staggered chain's census window (-edge, edge] are
-    bound states, read from the values and the band alone.
+def bound_levels(matrix, edge):
+    """The bound levels of a staggered chain's census window (-edge, edge],
+    ascending, solved and judged from values and the band alone.
 
-    A value passes when its tunnelling exponent to each wall is at least
+    The window's values come from the solve eigensolve makes (_pairs),
+    vectors and Rayleigh quotients included, and no vector is returned. On
+    a band that reversal negates (J T J = -T to REFLECTION_TOL*||T||: the
+    chain of odd f, m and v) only (-tol, edge] is solved, tol the bisection
+    tolerance, and each value above tol is mirrored to -value; the mirror
+    stands only when one Sturm count of (-edge, edge] equals the number of
+    values, and otherwise the full window is solved, with the values of
+    eigensolve's window solve bit for bit. A band whose norm bound squared
+    is not finite raises GridOverflowError (see _tridiagonal_norm).
+
+    A value is bound when its tunnelling exponent to each wall is at least
     TUNNEL_MIN (see _tunnelling_exponents): its box shift is then about
     e^(-2 TUNNEL_MIN) of its scale. The chain also has a state at each wall
     with u = 0, exact at E = v + f where f and v are constant near that
@@ -588,9 +575,20 @@ def tunnelling_bound(matrix, values, edge):
     whose u = 0 state decays into the box and whose Rayleigh quotient lies
     in the window (see _wall_state), the passing value nearest that
     quotient is not bound when it lies within max(WALL_TOL, the trial's
-    residual). No eigenvector is read, and no profile is sampled again.
+    residual). No profile is sampled again.
     """
-    d, e = matrix.storage[0], matrix.storage[1, :-1]
+    band = matrix.storage
+    norm = _tridiagonal_norm(matrix)
+    tol = BISECT_TOL * norm
+    values = None
+    if _is_reflection_odd(band, norm):
+        half = _pairs(band, "v", (-tol, edge), norm)[1]
+        up = half[half > tol]
+        if _sturm_count(band, -edge, edge) == len(half) + len(up):
+            values = np.concatenate([-up[::-1], half])
+    if values is None:
+        values = _pairs(band, "v", (-edge, edge), norm)[1]
+    d, e = band[0], band[1, :-1]
     bound = np.all(_tunnelling_exponents(d, e, matrix.grid.spacing, values)
                    >= TUNNEL_MIN, axis=0)
     for wall in (_wall_state(d, e), _wall_state(d[::-1], e[::-1])):
@@ -601,7 +599,7 @@ def tunnelling_bound(matrix, values, edge):
         near = passing[np.argmin(np.abs(values[passing] - quotient))]
         if abs(values[near] - quotient) <= max(WALL_TOL, residual):
             bound[near] = False
-    return bound
+    return values[bound]
 
 
 def dirac_continuum_edge(profiles, grid):
@@ -623,10 +621,20 @@ def schrodinger_continuum_edge(reduced, grid):
 
 
 def _central(psi, h):
-    """Central difference of nodal samples, zero outside the box."""
+    """First derivative of nodal samples: the five-point central difference
+    (psi[i-2] - 8 psi[i-1] + 8 psi[i+1] - psi[i+2]) / 12h on nodes 2..N-3,
+    and the three-point one on the two nodes at each end, with psi zero
+    outside the box.
+
+    Every step works in place on d, so no array beyond d is allocated.
+    """
     d = np.empty_like(psi)
-    d[1:-1] = psi[2:] - psi[:-2]
+    np.subtract(psi[2:], psi[:-2], out=d[1:-1])
     d[0], d[-1] = psi[1], -psi[-2]
+    d[2:-2] *= 8.0
+    d[2:-2] += psi[:-4]
+    d[2:-2] -= psi[4:]
+    d[2:-2] /= 6.0
     d /= 2.0 * h
     return d
 
@@ -645,10 +653,12 @@ def dirac_residual(f, m, v, psi, energy):
 
     f, m and v are the profiles sampled on the nodes of psi. The outer
     EXCLUDE_FRAC of nodes on each side is ignored (boundary stencils), as
-    are the nodes straddling a jump of f, m or v (a step of more than a
-    quarter of the profile's range between neighbours): the continuum
-    equation holds one-sidedly at a jump and a central difference across it
-    measures nothing. Raises VanishingSpinorError (a ValueError) when psi
+    are the nodes whose difference stencil (see _central) reaches across a
+    jump of f, m or v (a step of more than a quarter of the profile's range
+    between neighbours): nodes j - 1..j + 2 around a jump between nodes j
+    and j + 1, and only j, j + 1 where the stencil is three-point. The
+    continuum equation holds one-sidedly at a jump, and a difference across
+    it measures nothing. Raises VanishingSpinorError (a ValueError) when psi
     has no probability mass on the nodes left, as on a grid too coarse to
     keep any, and GridOverflowError when the residual is not finite: the
     stencil scales like 1/h, so a spacing too fine, or profiles too large,
@@ -665,12 +675,12 @@ def dirac_residual(f, m, v, psi, energy):
         r1, r2 = _dirac_minus_e(f, m, v, grid.spacing, psi.upper, psi.lower,
                                 float(energy))
         for prof in (f, m, v):
-            rng = prof.max() - prof.min()
-            if rng == 0:
-                continue
-            jumps = np.where(np.abs(np.diff(prof)) > 0.25 * rng)[0]
-            for j in jumps:
-                mask[max(j - 1, 0):min(j + 2, n)] = False
+            # a jump on bond b (nodes b, b + 1) is crossed by the stencils of
+            # _central at nodes b, b + 1 and, five-point ones, b - 1, b + 2
+            jump = np.abs(np.diff(prof)) > 0.25 * (prof.max() - prof.min())
+            mask[:-1] &= ~jump
+            mask[1:] &= ~jump
+            mask[2:-2] &= ~(jump[:-3] | jump[3:])
         num = np.sqrt(np.sum((np.abs(r1) ** 2 + np.abs(r2) ** 2)[mask]) * grid.spacing)
         den = np.sqrt(
             np.sum((np.abs(psi.upper) ** 2 + np.abs(psi.lower) ** 2)[mask]) * grid.spacing

@@ -39,7 +39,7 @@ from diracosc.model import (
     TanhProfile,
     TanhSechProfile,
 )
-from diracosc.numerics import eigensolve
+from diracosc.numerics import bound_levels, eigensolve
 from diracosc.zeromodes import StepMatchProblem, step_match, zero_mode_quadrature
 
 
@@ -897,15 +897,18 @@ def test_sweep_workflow(tmp_path):
 
 @pytest.mark.parametrize("workflow", ["spectrum", "arbitrate", "sweep"])
 def test_census_window_is_the_continuum_edge(tmp_path, monkeypatch, workflow):
-    # one eigensolve per census step, in the window +-(its continuum edge);
-    # the AC-5 sweep values kappa_v = 5 and 5.5 close the gap (edge 0)
-    windows = []
+    # one window solve per census step, in the window +-(its continuum
+    # edge), and no eigensolve: the census reads values only; the AC-5 sweep
+    # values kappa_v = 5 and 5.5 close the gap (edge 0)
+    windows, eigensolves = [], []
 
-    def spy(matrix, k=None, window=None):
-        windows.append(window)
-        return eigensolve(matrix, k=k, window=window)
+    def spy(matrix, edge):
+        windows.append((-edge, edge))
+        return bound_levels(matrix, edge)
 
-    monkeypatch.setattr(numerics, "eigensolve", spy)
+    monkeypatch.setattr(numerics, "bound_levels", spy)
+    monkeypatch.setattr(numerics, "eigensolve",
+                        lambda *args, **kwargs: eigensolves.append(args))
     ac5_model = {"type": "coupled", "kappa_f": 3.0, "kappa_m": 4.0, "kappa_v": 0.0,
                  "profile": {"type": "tanh", "amplitude": 1.0, "shift": 0.0}}
     overrides = {
@@ -921,6 +924,7 @@ def test_census_window_is_the_continuum_edge(tmp_path, monkeypatch, workflow):
                       wilson_r=1.0, **overrides)
     code, report_path = run(parse_config(doc), out_dir=str(tmp_path))
     results = json.loads(Path(report_path).read_text())["results"]
+    assert eigensolves == []
     if workflow != "sweep":
         edge = results["continuum_edge"]
         assert edge > 0

@@ -5,11 +5,23 @@ import json
 from pathlib import Path
 import shutil
 
+from diracosc.cli import WORKFLOWS, parse_config
+
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("compare_reports",
                                               ROOT / "tools" / "compare_reports.py")
 compare_reports = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_reports)
+CONFIGS = sorted((ROOT / "tools" / "report_configs").glob("*.json"))
+
+
+def test_report_configs_parse_and_cover_every_workflow():
+    # the configs a change's reports are compared on: each one a valid
+    # config, and every workflow run by at least one of them
+    assert len(CONFIGS) == 13
+    workflows = {parse_config(json.loads(path.read_text())).workflow
+                 for path in CONFIGS}
+    assert workflows == set(WORKFLOWS)
 
 
 def test_same_tree_matches_and_an_edited_version_differs(tmp_path, capsys):

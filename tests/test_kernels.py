@@ -9,18 +9,39 @@ from diracosc import kernels
 from diracosc.numerics import _dirac_minus_e
 
 
-def reference_dirac(f, m, v, h, r):
-    """The physical-gauge complex stencil, assembled entry by entry."""
+def five_point_derivative(n, h):
+    """The derivative the residual stencil takes, row by row: (1, -8, 0, 8,
+    -1)/12h on nodes 2..n-3 and (-1, 0, 1)/2h on the two nodes at each end,
+    with zero outside the box."""
+    D = np.zeros((n, n))
+    for i in range(n):
+        if 2 <= i <= n - 3:
+            D[i, i - 2:i + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+        else:
+            for col, c in ((i - 1, -0.5), (i + 1, 0.5)):
+                if 0 <= col < n:
+                    D[i, col] = c / h
+    return D
+
+
+def reference_dirac(f, m, v, h, r, derivative=None):
+    """The physical-gauge complex stencil, assembled entry by entry; sigma_x p
+    is -i times `derivative` (a dense matrix) when one is given, else the
+    central difference."""
     n = f.shape[0]
     H = np.zeros((2 * n, 2 * n), dtype=complex)
     up = 2 * np.arange(n)
     lo = up + 1
     c = 1.0 / (2.0 * h)
     # sigma_x p
-    H[up[:-1], lo[1:]] += -1j * c
-    H[up[1:], lo[:-1]] += 1j * c
-    H[lo[:-1], up[1:]] += -1j * c
-    H[lo[1:], up[:-1]] += 1j * c
+    if derivative is not None:
+        H[np.ix_(up, lo)] += -1j * derivative
+        H[np.ix_(lo, up)] += -1j * derivative
+    else:
+        H[up[:-1], lo[1:]] += -1j * c
+        H[up[1:], lo[:-1]] += 1j * c
+        H[lo[:-1], up[1:]] += -1j * c
+        H[lo[1:], up[:-1]] += 1j * c
     # -sigma_y f
     H[up, lo] += 1j * f
     H[lo, up] += -1j * f
@@ -86,8 +107,9 @@ def test_apply_matches_assembled_matrix(n, r, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_dirac_minus_e_is_the_dense_stencil(n, h, energy, seed):
-    # the residual stencil on (psi1, psi2) against the dense r = 0 matrix,
-    # end stencils included, for random profiles and a complex spinor
+    # the residual stencil on (psi1, psi2) against the dense r = 0 matrix
+    # with the five-point derivative, end stencils included, for random
+    # profiles and a complex spinor
     rng = np.random.default_rng(seed)
     f, m, v = rng.uniform(-5.0, 5.0, size=(3, n))
     p1 = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -95,7 +117,8 @@ def test_dirac_minus_e_is_the_dense_stencil(n, h, energy, seed):
     vec = np.empty(2 * n, dtype=complex)
     vec[0::2] = p1
     vec[1::2] = p2
-    ref = reference_dirac(f, m, v, h, 0.0) @ vec - energy * vec
+    ref = (reference_dirac(f, m, v, h, 0.0, five_point_derivative(n, h)) @ vec
+           - energy * vec)
     o1, o2 = _dirac_minus_e(f, m, v, h, p1, p2, energy)
     assert np.allclose(o1, ref[0::2], atol=1e-12, rtol=0)
     assert np.allclose(o2, ref[1::2], atol=1e-12, rtol=0)

@@ -35,6 +35,7 @@ from diracosc.numerics import (
     DiracMatrix,
     _dirac_minus_e,
     _newton_level,
+    bound_levels,
     build_dirac,
     build_schrodinger,
     build_staggered,
@@ -253,6 +254,18 @@ def band_norm(matrix):
     return np.abs(band[0]).max() + 2.0 * np.abs(band[1, :-1]).max(initial=0.0)
 
 
+def judged_values(monkeypatch):
+    """The window values of every bound_levels verdict, in call order."""
+    exponents, windows = numerics._tunnelling_exponents, []
+
+    def spy(d, e, h, values):
+        windows.append(values.copy())
+        return exponents(d, e, h, values)
+
+    monkeypatch.setattr(numerics, "_tunnelling_exponents", spy)
+    return windows
+
+
 def solve_ranges(monkeypatch):
     """The select_range of every LAPACK tridiagonal solve, in call order."""
     solve, ranges = scipy.linalg.eigh_tridiagonal, []
@@ -286,9 +299,10 @@ ODD_PROFILES = {
 )
 def test_odd_chain_window_solves_half_and_mirrors(shape, amplitude, exponent, kf, km,
                                                   field, n_points, half_length):
-    # odd f, m and v make the staggered chain reflection-odd, so only
-    # (-tol, edge] is bisected; the window must still hold every pair of
-    # (-edge, edge], each -E vector the reversed +E vector
+    # odd f, m and v make the staggered chain reflection-odd, so the census
+    # bisects (-tol, edge] only; its window must still hold every value of
+    # (-edge, edge], each -E value the negated +E value, and its bound levels
+    # must be those the full-window solve gives
     model = CoupledModel(kf, km, field * math.hypot(kf, km),
                          ODD_PROFILES[shape](amplitude, exponent))
     grid = Grid(half_length, n_points)
@@ -301,25 +315,53 @@ def test_odd_chain_window_solves_half_and_mirrors(shape, amplitude, exponent, kf
     norm = band_norm(matrix)
     with pytest.MonkeyPatch.context() as mp:
         ranges = solve_ranges(mp)
-        res = eigensolve(matrix, window=(-edge, edge))
+        window = judged_values(mp)
+        levels = bound_levels(matrix, edge)
     assert ranges == [(-BISECT_TOL * norm, edge)]
+    [values] = window
+    half = eigensolve(matrix, window=(-BISECT_TOL * norm, edge)).values
+    up = half[half > BISECT_TOL * norm]
+    assert np.array_equal(values, np.concatenate([-up[::-1], half]))
     ref = scipy.linalg.eigvalsh_tridiagonal(matrix.storage[0], matrix.storage[1, :-1],
                                             select="v", select_range=(-edge, edge))
-    assert len(res.values) == len(ref)
-    assert np.all(np.abs(res.values - ref) <= 1e-12 * norm)
-    assert np.all(res.residuals <= 1e-12 * norm)
-    k = np.count_nonzero(res.values > BISECT_TOL * norm)
-    assert np.array_equal(res.values[:k], -res.values[::-1][:k])
-    assert np.array_equal(res.vectors[:, :k], res.vectors[::-1, ::-1][:, :k])
+    assert len(values) == len(ref)
+    assert np.all(np.abs(values - ref) <= 1e-12 * norm)
+    assert np.all(np.isin(levels, values))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_is_reflection_odd", lambda band, norm: False)
+        full = bound_levels(matrix, edge)
+    assert len(levels) == len(full)
+    assert np.all(np.abs(levels - full) <= 1e-12 * norm)
+
+
+def test_census_takes_one_band_product_on_an_odd_chain(monkeypatch):
+    # the mirrored half of an odd chain's window is values only: the census
+    # multiplies the band once, by the vectors of (-tol, edge] alone
+    g = Grid(20.0, 1201)
+    model = CoupledModel(3.0, 4.0, 2.0, TanhProfile(1.0))
+    matrix = build_staggered(model.general(), g)
+    edge = dirac_continuum_edge(model.general(), g)
+    half = eigensolve(matrix, window=(-BISECT_TOL * band_norm(matrix), edge)).values
+    assert 0 < len(half) < len(eigensolve(matrix, window=(-edge, edge)).values)
+    product, blocks = kernels.band_matvec, []
+
+    def spy(band, block):
+        blocks.append(block.shape)
+        return product(band, block)
+
+    monkeypatch.setattr(kernels, "band_matvec", spy)
+    assert len(bound_census(model, g, [], 1e-3).values) == 5
+    assert blocks == [(matrix.storage.shape[1], len(half))]
 
 
 def test_chains_that_are_not_reflection_odd_solve_the_full_window(monkeypatch):
+    # a shifted profile's chain is not odd, so the census solves its window whole
     ranges = solve_ranges(monkeypatch)
     g = Grid(20.0, 1201)
     shifted = CoupledModel(3.0, 4.0, 0.0, TanhProfile(0.8, shift=0.01)).general()
     edge = dirac_continuum_edge(shifted, g)
-    assert len(eigensolve(build_staggered(shifted, g), window=(-edge, edge)).values) > 0
-    # the per-node r = 1 band puts w and u in mirrored rows: not odd for any profile
+    assert len(bound_levels(build_staggered(shifted, g), edge)) > 0
+    # eigensolve solves a window whole, here the per-node band of odd profiles
     odd = scarf_model().general()
     edge_r1 = dirac_continuum_edge(odd, g)
     assert len(eigensolve(build_dirac(odd, g), window=(-edge_r1, edge_r1)).values) > 0
@@ -327,22 +369,28 @@ def test_chains_that_are_not_reflection_odd_solve_the_full_window(monkeypatch):
 
 
 def test_odd_window_falls_back_when_the_count_disagrees(monkeypatch):
+    # a Sturm count of (-edge, edge] that disagrees with the mirrored window
+    # sends the census to the full window: its values are the full-window
+    # eigensolve's, bit for bit
     g = Grid(20.0, 1201)
     profiles = CoupledModel(3.0, 4.0, 2.0, TanhProfile(1.0)).general()
     edge = dirac_continuum_edge(profiles, g)
     matrix = build_staggered(profiles, g)
+    full = eigensolve(matrix, window=(-edge, edge)).values
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_is_reflection_odd", lambda band, norm: False)
-        full = eigensolve(matrix, window=(-edge, edge))
+        unmirrored = bound_levels(matrix, edge)
     count = numerics._sturm_count
     monkeypatch.setattr(numerics, "_sturm_count",
                         lambda band, lo, hi: count(band, lo, hi) + 1)
     ranges = solve_ranges(monkeypatch)
-    res = eigensolve(matrix, window=(-edge, edge))
+    window = judged_values(monkeypatch)
+    levels = bound_levels(matrix, edge)
     assert ranges == [(-BISECT_TOL * band_norm(matrix), edge), (-edge, edge)]
-    assert np.array_equal(res.values, full.values)
-    assert np.array_equal(res.vectors, full.vectors)
-    assert np.array_equal(res.residuals, full.residuals)
+    assert len(window) == 1 and np.array_equal(window[0], full)
+    assert len(levels) == 5
+    assert np.all(np.isin(levels, full))
+    assert np.array_equal(levels, unmirrored)
 
 
 def test_eigensolve_window_and_k_selection():
@@ -577,11 +625,12 @@ def test_wall_state_quotient_is_the_end_value_of_v_plus_f():
     assert left == pytest.approx(-3.0, abs=1e-9) and right == pytest.approx(3.0, abs=1e-9)
     assert max(left_res, right_res) < numerics.WALL_TOL
     edge = dirac_continuum_edge(profiles, grid)
-    values = eigensolve(matrix, window=(-edge, edge)).values
-    bound = numerics.tunnelling_bound(matrix, values, edge)
-    assert int(bound.sum()) == 9
-    dropped = values[~bound]
-    assert np.min(np.abs(dropped + 3.0)) < 1e-9 and np.min(np.abs(dropped - 3.0)) < 1e-9
+    window = eigensolve(matrix, window=(-edge, edge)).values
+    assert len(window) == 11
+    assert np.min(np.abs(window + 3.0)) < 1e-9 and np.min(np.abs(window - 3.0)) < 1e-9
+    levels = bound_levels(matrix, edge)
+    assert len(levels) == 9
+    assert np.min(np.abs(np.abs(levels) - 3.0)) > 1e-9
 
 
 def test_staggered_mass_kink_separates_wall_states_from_the_zero_mode():
@@ -717,11 +766,11 @@ def test_dirac_residual_masks_step_kink():
     # the kink node alone dominates the unmasked figure
     assert masked < 2e-4
     assert raw > 100 * masked
-    # h -> h/2 drops the masked residual by ~4 (second order)
+    # h -> h/2 drops the masked residual by ~16 (fourth order)
     g2 = Grid(5.0, 8001)
     env2 = np.exp(-lam * np.abs(g2.nodes))
     psi2 = SpinorField(g2, 2.0 * env2 + 0j, 1j * env2).normalize()
-    assert dirac_residual(*sampled(profiles, g2), psi2, 0.0) == pytest.approx(masked / 4,
+    assert dirac_residual(*sampled(profiles, g2), psi2, 0.0) == pytest.approx(masked / 16,
                                                                            rel=0.15)
 
 

@@ -118,6 +118,18 @@ def test_quadrature_dirac_residual():
     assert mode.metadata["dirac_residual"] <= 1e-6
 
 
+def test_quadrature_dirac_residual_has_observed_order_four():
+    # the mode (cumulative Simpson) and the residual's five-point stencil are
+    # both fourth order, so halving h divides the residual by about 16; a
+    # three-point stencil would leave its own h^2 error, a ratio of 4
+    model = CoupledModel(0.6, 0.8, 0.0, TanhPowerProfile(3, shift=0.5))
+    residuals = [zero_mode_quadrature(model, Grid(24.0, n)).metadata["dirac_residual"]
+                 for n in (1001, 2001, 4001)]
+    assert residuals[0] / residuals[1] >= 14.0
+    assert residuals[1] / residuals[2] >= 14.0
+    assert residuals[1] <= 1e-6
+
+
 @pytest.mark.parametrize("model, grid", [
     (CoupledModel(0.6, 0.8, 0.0, TanhPowerProfile(3, shift=0.5)), Grid(24.0, 201)),
     (CoupledModel(0.6, 0.8, 0.0, TanhPowerProfile(3, shift=0.5)), Grid(24.0, 24001)),
